@@ -12,6 +12,7 @@ MYPY_STRICT_FILES = \
 	src/repro/service/cache.py \
 	src/repro/service/batcher.py \
 	src/repro/service/service.py \
+	src/repro/service/lifecycle.py \
 	src/repro/service/shard.py \
 	src/repro/service/resilience.py \
 	src/repro/service/stream.py \
@@ -87,12 +88,16 @@ resilience-smoke:
 # sharded-tier smoke: bring up a 2-worker front-end on an ephemeral
 # port, round-trip the clip through the TCP client (byte-identity vs a
 # local DiffService, merged metrics == summed worker stats, hit-rate
-# gate), then run the sharded benchmark gates in smoke mode
-# (see docs/SERVING.md)
+# gate), repeat with 2048x2048 frames (request lines over 64 KiB, so
+# they need MAX_REQUEST_LINE), then run the sharded benchmark gates in
+# smoke mode (see docs/SERVING.md)
 serve-smoke:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro serve \
 		--frames 6 --passes 2 --workers 2 --listen 127.0.0.1:0 \
 		--selftest --min-hit-rate 0.4
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro serve \
+		--frames 3 --passes 1 --height 2048 --width 2048 --workers 2 \
+		--listen 127.0.0.1:0 --selftest
 	REPRO_BENCH_SMOKE=1 PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
 		pytest benchmarks/bench_service.py -q --benchmark-disable \
 		-k "Sharded"

@@ -231,27 +231,21 @@ def parallel_diff_images(
             results_by_chunk = _run_pool(payloads, workers, opts, opts.tracer)
 
     row_results: List[XorRunResult] = []
-    out_rows: List[RLERow] = []
     for chunk_index in range(len(payloads)):
         for pairs, iterations, k1, k2, row_cells, stat_items in results_by_chunk[
             chunk_index
         ]:
-            row = RLERow.from_pairs(pairs, width=width)
-            result = XorRunResult(
-                result=row,
-                iterations=iterations,
-                k1=k1,
-                k2=k2,
-                n_cells=row_cells,
-                stats=ActivityStats.from_items(stat_items),
+            row_results.append(
+                XorRunResult(
+                    result=RLERow.from_pairs(pairs, width=width),
+                    iterations=iterations,
+                    k1=k1,
+                    k2=k2,
+                    n_cells=row_cells,
+                    stats=ActivityStats.from_items(stat_items),
+                )
             )
-            row_results.append(result)
-            out_rows.append(row.canonical() if opts.canonical else row)
-
-    return ImageDiffResult(
-        image=RLEImage(out_rows, width=width),
-        row_results=row_results,
-    )
+    return ImageDiffResult.assemble(row_results, width, opts.canonical)
 
 
 def _run_pool(

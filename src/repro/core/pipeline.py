@@ -45,6 +45,20 @@ class ImageDiffResult:
     #: One entry per row, in order.
     row_results: List[XorRunResult] = field(default_factory=list)
 
+    @classmethod
+    def assemble(
+        cls, row_results: List[XorRunResult], width: int, canonical: bool
+    ) -> "ImageDiffResult":
+        """The difference image of ``row_results`` (canonical rows when
+        ``canonical``), kept together with the row results."""
+        return cls(
+            image=RLEImage(
+                (r.canonical_result if canonical else r.result for r in row_results),
+                width=width,
+            ),
+            row_results=row_results,
+        )
+
     @property
     def total_iterations(self) -> int:
         """Sum of per-row iteration counts — total array busy time when
@@ -168,13 +182,7 @@ def _diff_images_inner(
         row_results = BatchedXorEngine(
             n_cells=n_cells, tracer=tracer, probe=probe
         ).diff_rows(list(image_a), list(image_b))
-        return ImageDiffResult(
-            image=RLEImage(
-                (r.canonical_result if canonical else r.result for r in row_results),
-                width=image_a.width,
-            ),
-            row_results=row_results,
-        )
+        return ImageDiffResult.assemble(row_results, image_a.width, canonical)
 
     if engine == "systolic":
         machine = SystolicXorMachine(n_cells=n_cells, paranoid=opts.paranoid)
@@ -196,7 +204,6 @@ def _diff_images_inner(
         raise UnknownEngineError(f"unknown engine {engine!r}")
 
     row_results: List[XorRunResult] = []
-    out_rows: List[RLERow] = []
     for i, (ra, rb) in enumerate(zip(image_a, image_b)):
         if tracer is None:
             result = run(ra, rb)
@@ -205,9 +212,4 @@ def _diff_images_inner(
                 result = run(ra, rb)
                 span.set_attribute("iterations", result.iterations)
         row_results.append(result)
-        out_rows.append(result.canonical_result if canonical else result.result)
-
-    return ImageDiffResult(
-        image=RLEImage(out_rows, width=image_a.width),
-        row_results=row_results,
-    )
+    return ImageDiffResult.assemble(row_results, image_a.width, canonical)

@@ -20,6 +20,8 @@ a stream of frames, where most content repeats:
   ``DiffOptions(cache_dir=...)`` and survives process restarts.
 - :mod:`repro.service.service` — the :class:`DiffService` facade tying
   the two together.
+- :mod:`repro.service.lifecycle` — the request accounting every tier
+  shares: ``request_*`` log records, latency histogram, SLO breaches.
 - :mod:`repro.service.resilience` — :class:`ResilientDiffService`:
   deadlines, retries with jittered backoff, an error-rate circuit
   breaker, and degraded cache-only / load-shedding modes, all
@@ -43,6 +45,13 @@ a stream of frames, where most content repeats:
   density (:class:`StreamPolicy`); exposed through the sharded tier as
   the ``stream_open`` / ``stream_frame`` / ``stream_close`` /
   ``stream_stats`` ops, routed by session id on the ring.
+
+Every tier serves through one bulk path, ``diff_rows``: its
+``diff_images`` is ``diff_rows`` plus the shape check and image
+assembly, ``row_diff`` queues one pair on the batcher instead (the
+resilient tier awaits it against the deadline), and streaming sessions
+call ``diff_images``.  The batcher's tick and the bulk request share one
+serving step, :meth:`RowDiffBatcher.serve`.
 
 See ``docs/API.md`` for the service contract, ``docs/RESILIENCE.md``
 for the failure policies and breaker state machine, ``docs/SERVING.md``

@@ -33,7 +33,7 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, cast
 
 from repro.errors import ServiceError, ServiceOverloadError
 from repro.rle.row import RLERow
@@ -171,10 +171,10 @@ class RowDiffBatcher:
         )
         self._closed = False
         self._close_lock = threading.Lock()
-        #: Guards the ``batches``/``requests`` totals: they are bumped
-        #: from the worker thread (queued path) *and* from caller
-        #: threads (:meth:`record_outcomes`, the service's bulk path),
-        #: and unsynchronized ``+=`` loses increments under concurrency.
+        #: Guards the ``batches``/``requests`` totals: :meth:`serve` bumps
+        #: them from the worker thread (queued path) *and* from caller
+        #: threads (the service's bulk path), and unsynchronized ``+=``
+        #: loses increments under concurrency.
         self._stats_lock = threading.Lock()
         self.batches = 0
         self.requests = 0
@@ -252,37 +252,10 @@ class RowDiffBatcher:
     def __exit__(self, *exc: object) -> None:
         self.close()
 
-    # ------------------------------------------------------------------ #
-    # Accounting shared with the service's bulk (whole-image) path       #
-    # ------------------------------------------------------------------ #
-    def record_outcomes(
-        self, hit: int = 0, computed: int = 0, coalesced: int = 0
-    ) -> None:
-        """Fold externally served requests into this batcher's totals
-        and metric families.
-
-        :meth:`DiffService.diff_images <repro.service.DiffService.diff_images>`
-        serves whole images as one bulk cache pass + engine batch
-        (no queue round-trip per row) but reports through the same
-        counters, so ``stats()`` and ``repro_service_requests_total``
-        cover every request however it was served.
-        """
-        with self._stats_lock:
-            self.requests += hit + computed + coalesced
-            if computed:
-                self.batches += 1
-        if self._metrics is not None:
-            if hit:
-                self._m_hit.inc(hit)
-            if computed:
-                self._m_computed.inc(computed)
-                self._m_batch_size.observe(float(computed))
-            if coalesced:
-                self._m_coalesced.inc(coalesced)
-
     def totals(self) -> Tuple[int, int]:
         """Consistent ``(requests, batches)`` snapshot under the stats
-        lock — the read-side counterpart of the locked ``+=`` above.
+        lock — the read-side counterpart of the locked ``+=`` in
+        :meth:`serve`.
         Readers outside this class must use it rather than the bare
         attributes, or they can observe one total mid-update relative
         to the other.
@@ -329,73 +302,90 @@ class RowDiffBatcher:
 
     def _serve(self, batch: List[_Request]) -> None:
         try:
-            self._serve_inner(batch)
+            results = self.serve(
+                [request.row_a for request in batch],
+                [request.row_b for request in batch],
+                self.cache,
+            )
         except BaseException as exc:  # noqa: BLE001 - forwarded to callers
             for request in batch:
-                if not request.future.done():
-                    request.future.set_exception(exc)
-
-    def _serve_inner(self, batch: List[_Request]) -> None:
-        with self._stats_lock:
-            self.requests += len(batch)
-        # 1. cache hits resolve immediately; misses queue for compute,
-        #    deduped so identical pending pairs cost one lane.
-        pending: "Dict[CacheKey, List[_Request]]" = {}
-        order: List[Tuple[CacheKey, _Request]] = []
-        for request in batch:
-            key = self._key(request.row_a, request.row_b)
-            if self.cache is not None:
-                hit = self.cache.get(key, request.row_a, request.row_b)
-                if hit is not None:
-                    if self._metrics is not None:
-                        self._m_hit.inc()
-                    request.future.set_result(hit)
-                    continue
-            waiters = pending.get(key)
-            if waiters is None:
-                pending[key] = [request]
-                order.append((key, request))
-                if self._metrics is not None:
-                    self._m_computed.inc()
-            else:
-                waiters.append(request)
-                if self._metrics is not None:
-                    self._m_coalesced.inc()
-        if not order:
+                request.future.set_exception(exc)
             return
-        # 2. one engine batch over the unique misses.
-        with self._stats_lock:
-            self.batches += 1
-        if self._metrics is not None:
-            self._m_batch_size.observe(float(len(order)))
-        results = self._compute(
-            self.options,
-            [request.row_a for _, request in order],
-            [request.row_b for _, request in order],
-        )
-        # A ComputeFn that returns the wrong number of results would
-        # silently drop the trailing requests under zip — their futures
-        # would never resolve and callers would block forever.  Fail the
-        # whole batch with a typed error instead (the _serve wrapper
-        # forwards it to every unresolved future).
-        if len(results) != len(order):
-            raise ServiceError(
-                f"compute returned {len(results)} result(s) for "
-                f"{len(order)} unique miss(es); refusing to serve a "
-                f"mismatched batch"
-            )
-        # 3. store and resolve every waiter.
-        for (key, request), result in zip(order, results):
-            if self.cache is not None:
-                self.cache.put(key, request.row_a, request.row_b, result)
-            for waiter in pending[key]:
-                waiter.future.set_result(result)
+        for request, result in zip(batch, results):
+            request.future.set_result(result)
 
-    def _key(self, row_a: RLERow, row_b: RLERow) -> CacheKey:
-        if self.cache is not None:
-            return self.cache.key_for(row_a, row_b, self.options)
-        return (
-            row_fingerprint(row_a),
-            row_fingerprint(row_b),
-            self.options.cache_key(),
-        )
+    # ------------------------------------------------------------------ #
+    # The serving step shared by the queue and bulk requests             #
+    # ------------------------------------------------------------------ #
+    def serve(
+        self,
+        rows_a: Sequence[RLERow],
+        rows_b: Sequence[RLERow],
+        cache: Optional[DiffCache],
+    ) -> List[XorRunResult]:
+        """Results for ``len(rows_a)`` row pairs, in input order.
+
+        Probes ``cache`` for every pair, dedupes the misses so identical
+        pairs cost one lane, runs the unique misses as **one** engine
+        batch and stores them.  A batcher tick runs this over its queued
+        requests and :meth:`DiffService.diff_rows
+        <repro.service.DiffService.diff_rows>` over a bulk request, so
+        both land in the same ``requests``/``batches`` totals and
+        ``repro_service_*`` families — recorded before the compute, so a
+        failed batch is still counted.
+        """
+        served: List[Optional[XorRunResult]] = [None] * len(rows_a)
+        waiters: Dict[CacheKey, List[int]] = {}
+        order: List[Tuple[CacheKey, int]] = []
+        options_key = self.options.cache_key()
+        hits = 0
+        for i, (row_a, row_b) in enumerate(zip(rows_a, rows_b)):
+            if cache is None:
+                key = (row_fingerprint(row_a), row_fingerprint(row_b), options_key)
+            else:
+                key = cache.key_for(row_a, row_b, self.options)
+                hit = cache.get(key, row_a, row_b)
+                if hit is not None:
+                    served[i] = hit
+                    hits += 1
+                    continue
+            indices = waiters.get(key)
+            if indices is None:
+                waiters[key] = [i]
+                order.append((key, i))
+            else:
+                indices.append(i)
+        coalesced = len(served) - hits - len(order)
+        with self._stats_lock:
+            self.requests += len(served)
+            if order:
+                self.batches += 1
+        if self._metrics is not None:
+            if hits:
+                self._m_hit.inc(hits)
+            if order:
+                self._m_computed.inc(len(order))
+                self._m_batch_size.observe(float(len(order)))
+            if coalesced:
+                self._m_coalesced.inc(coalesced)
+        if order:
+            results = self._compute(
+                self.options,
+                [rows_a[i] for _, i in order],
+                [rows_b[i] for _, i in order],
+            )
+            # A ComputeFn returning the wrong number of results would
+            # silently drop trailing misses under zip (short images,
+            # futures that never resolve); fail the batch typed instead.
+            if len(results) != len(order):
+                raise ServiceError(
+                    f"compute returned {len(results)} result(s) for "
+                    f"{len(order)} unique miss(es); refusing to serve a "
+                    f"mismatched batch"
+                )
+            for (key, i), result in zip(order, results):
+                if cache is not None:
+                    cache.put(key, rows_a[i], rows_b[i], result)
+                for j in waiters[key]:
+                    served[j] = result
+        return cast(List[XorRunResult], served)

@@ -41,7 +41,6 @@ import multiprocessing
 import os
 import socket
 import threading
-import time
 from concurrent.futures import Future
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -52,7 +51,6 @@ from repro.errors import (
     ProtocolError,
     ReproError,
     ServiceError,
-    ServiceOverloadError,
     UnknownSessionError,
 )
 from repro.rle.image import RLEImage
@@ -61,26 +59,30 @@ from repro.core.machine import XorRunResult
 from repro.core.options import IMAGE_DEFAULTS, DiffOptions, resolve_options
 from repro.core.pipeline import ImageDiffResult
 from repro.obs.context import RequestContext, encode_context, new_request_id
-from repro.obs.log import StructuredLog, decode_event
-from repro.obs.metrics import LATENCY_BUCKETS_S, MetricsRegistry, MetricsSnapshot
+from repro.obs.log import EventWire, StructuredLog, decode_event
+from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
 from repro.obs.tracing import Tracer, TraceStore
 from repro.service.cache import DEFAULT_CACHE_BYTES
+from repro.service.lifecycle import DEFAULT_SLO_SECONDS, RequestLifecycle
 from repro.service.resilience import ResiliencePolicy
 from repro.service.shard import (
     DEFAULT_REPLICAS,
     OptionsWire,
     ShardRing,
+    SpanWire,
     decode_error,
     decode_result,
     decode_span,
     encode_options,
     encode_result,
+    encode_row,
     worker_main,
 )
 from repro.service.stream import (
     FrameDelta,
     StreamPolicy,
     decode_frame_delta,
+    decode_image,
     encode_frame_delta,
     encode_image,
     encode_stream_policy,
@@ -101,6 +103,12 @@ __all__ = [
 #: as the current version, so pre-versioning clients keep working).
 #: See the op-vocabulary table in ``docs/SERVING.md``.
 PROTOCOL_VERSION = 1
+
+#: The longest request line the TCP server reads, in bytes (newline
+#: excluded).  A longer line gets one typed
+#: :class:`~repro.errors.ProtocolError` reply naming this limit, and its
+#: bytes are dropped as they arrive rather than buffered whole.
+MAX_REQUEST_LINE = 4 * 1024 * 1024
 
 
 # --------------------------------------------------------------------- #
@@ -300,21 +308,13 @@ class ShardedDiffService:
         self.registry = MetricsRegistry()
         self.log = StructuredLog()
         self.trace_store = TraceStore()
-        self._m_latency = self.registry.histogram(
-            "repro_request_latency_seconds",
-            "request latency by operation and tier",
-            ("op", "tier"),
-            buckets=LATENCY_BUCKETS_S,
-        )
-        self._m_slo = self.registry.counter(
-            "repro_slo_breaches_total",
-            "requests slower than the policy's slo_seconds budget",
-            ("op",),
-        )
-        self._slo_seconds = (
-            policy.slo_seconds
-            if policy is not None
-            else ResiliencePolicy().slo_seconds
+        self._lifecycle = RequestLifecycle(
+            "frontend",
+            log=self.log,
+            metrics=self.registry,
+            slo_seconds=(
+                policy.slo_seconds if policy is not None else DEFAULT_SLO_SECONDS
+            ),
         )
         ctx = multiprocessing.get_context()
         # Partition the persistent tier per worker: the ring already
@@ -384,15 +384,10 @@ class ShardedDiffService:
                 totals[key] = totals.get(key, 0.0) + value
         seen = totals.get("hits", 0.0) + totals.get("misses", 0.0)
         totals["hit_rate"] = totals.get("hits", 0.0) / seen if seen else 0.0
-        snap = self.registry.snapshot()
-        totals["latency_p50"] = snap.histogram_quantile(
-            "repro_request_latency_seconds", 0.5, tier="frontend"
-        )
-        totals["latency_p99"] = snap.histogram_quantile(
-            "repro_request_latency_seconds", 0.99, tier="frontend"
-        )
-        totals["slo_breaches"] = totals.get("slo_breaches", 0.0) + (
-            snap.counter_total("repro_slo_breaches_total")
+        totals["latency_p50"] = self._lifecycle.latency.quantile(0.5)
+        totals["latency_p99"] = self._lifecycle.latency.quantile(0.99)
+        totals["slo_breaches"] = totals.get("slo_breaches", 0.0) + float(
+            self._lifecycle.slo_breaches
         )
         return totals
 
@@ -405,7 +400,6 @@ class ShardedDiffService:
         with self._close_lock:
             closed = self._closed
         alive = sum(1 for handle in self._workers if handle.alive)
-        snap = self.registry.snapshot()
         if closed:
             status = "closed"
         elif alive == len(self._workers):
@@ -416,10 +410,8 @@ class ShardedDiffService:
             "status": status,
             "workers": len(self._workers),
             "workers_alive": alive,
-            "latency_p99": snap.histogram_quantile(
-                "repro_request_latency_seconds", 0.99, tier="frontend"
-            ),
-            "slo_breaches": snap.counter_total("repro_slo_breaches_total"),
+            "latency_p99": self._lifecycle.latency.quantile(0.99),
+            "slo_breaches": float(self._lifecycle.slo_breaches),
             "log_records": float(len(self.log)),
             "traces_stored": float(len(self.trace_store)),
         }
@@ -474,7 +466,32 @@ class ShardedDiffService:
         events come back with the replies, and the stitched trace lands
         in :attr:`trace_store` under that id.
         """
-        rows_a, rows_b = list(rows_a), list(rows_b)
+        if ctx is None:
+            ctx = RequestContext.new(sample_rate=self.trace_sample_rate)
+        with self._lifecycle.track("diff_rows", ctx.request_id, len(rows_a)):
+            return self._serve(list(rows_a), list(rows_b), ctx)
+
+    def diff_images(self, image_a: RLEImage, image_b: RLEImage) -> ImageDiffResult:
+        """Whole-image diff through the shards: :meth:`diff_rows` over
+        the images' rows, with the same assembly contract as
+        :meth:`DiffService.diff_images
+        <repro.service.DiffService.diff_images>` (honours
+        ``canonical``)."""
+        ctx = RequestContext.new(sample_rate=self.trace_sample_rate)
+        with self._lifecycle.track("diff_images", ctx.request_id, image_a.height):
+            if image_a.shape != image_b.shape:
+                raise GeometryError(
+                    f"image shapes differ: {image_a.shape} vs {image_b.shape}"
+                )
+            rows = self._serve(list(image_a), list(image_b), ctx)
+        return ImageDiffResult.assemble(rows, image_a.width, self.options.canonical)
+
+    def _serve(
+        self,
+        rows_a: List[RLERow],
+        rows_b: List[RLERow],
+        ctx: RequestContext,
+    ) -> List[XorRunResult]:
         if len(rows_a) != len(rows_b):
             raise GeometryError(
                 f"row sequences differ in length: {len(rows_a)} vs {len(rows_b)}"
@@ -484,82 +501,18 @@ class ShardedDiffService:
                 raise ServiceError("ShardedDiffService is closed")
         if not rows_a:
             return []
-        if ctx is None:
-            ctx = RequestContext.new(sample_rate=self.trace_sample_rate)
         # A per-request tracer (concurrent requests from the TCP
         # executor threads must not share one span stack); its spans are
         # stitched into the store when the request finishes.
         tracer = Tracer()
-        started = time.perf_counter()
-        self.log.log(
-            "request_admitted",
-            request_id=ctx.request_id,
-            level="debug",
-            op="diff_rows",
-            tier="frontend",
-            rows=len(rows_a),
-        )
         try:
             with tracer.span(
                 "sharded_diff_rows", request_id=ctx.request_id, rows=len(rows_a)
             ):
-                results = self._scatter_gather(rows_a, rows_b, ctx, tracer)
-        except BaseException as exc:
-            self._finish_request(ctx, tracer, started, exc)
-            raise
-        self._finish_request(ctx, tracer, started, None)
-        return results
-
-    def _finish_request(
-        self,
-        ctx: RequestContext,
-        tracer: Tracer,
-        started: float,
-        exc: Optional[BaseException],
-        op: str = "diff_rows",
-    ) -> None:
-        """Terminal accounting for one front-end request: end-to-end
-        latency, SLO burn, the completion/shed log event, and the
-        stitched trace (sampled requests only)."""
-        elapsed = max(0.0, time.perf_counter() - started)
-        self._m_latency.labels(op=op, tier="frontend").observe(elapsed)
-        breached = self._slo_seconds is not None and elapsed > self._slo_seconds
-        if breached:
-            self._m_slo.labels(op=op).inc()
-        if exc is None:
-            self.log.log(
-                "request_completed",
-                request_id=ctx.request_id,
-                level="debug",
-                op=op,
-                tier="frontend",
-                ok=True,
-                seconds=elapsed,
-                slo_breach=breached,
-            )
-        elif isinstance(exc, ServiceOverloadError):
-            self.log.log(
-                "request_shed",
-                request_id=ctx.request_id,
-                level="warning",
-                op=op,
-                tier="frontend",
-                seconds=elapsed,
-            )
-        else:
-            self.log.log(
-                "request_completed",
-                request_id=ctx.request_id,
-                level="warning",
-                op=op,
-                tier="frontend",
-                ok=False,
-                error=type(exc).__name__,
-                seconds=elapsed,
-                slo_breach=breached,
-            )
-        if ctx.sampled and tracer.spans:
-            self.trace_store.add(ctx.request_id, tracer.spans)
+                return self._scatter_gather(rows_a, rows_b, ctx, tracer)
+        finally:
+            if ctx.sampled and tracer.spans:
+                self.trace_store.add(ctx.request_id, tracer.spans)
 
     def _scatter_gather(
         self,
@@ -576,8 +529,8 @@ class ShardedDiffService:
         first_error: Optional[BaseException] = None
         for shard, indices in sorted(by_shard.items()):
             payload = (
-                tuple(_encode_row(rows_a[i]) for i in indices),
-                tuple(_encode_row(rows_b[i]) for i in indices),
+                tuple(encode_row(rows_a[i]) for i in indices),
+                tuple(encode_row(rows_b[i]) for i in indices),
                 ctx_wire,
             )
             try:
@@ -587,14 +540,7 @@ class ShardedDiffService:
                 # or receiver-marked closed) — same observability as a
                 # death mid-flight; keep scattering so the surviving
                 # shards are still driven and drained
-                if not self._workers[shard].alive:
-                    self.log.log(
-                        "worker_death",
-                        request_id=ctx.request_id,
-                        level="error",
-                        worker=shard,
-                        error=type(exc).__name__,
-                    )
+                self._note_death(shard, ctx.request_id, exc)
                 if first_error is None:
                     first_error = exc
                 continue
@@ -604,27 +550,11 @@ class ShardedDiffService:
             try:
                 wires, spans_wire, events_wire = future.result()
             except BaseException as exc:
-                if not self._workers[shard].alive:
-                    self.log.log(
-                        "worker_death",
-                        request_id=ctx.request_id,
-                        level="error",
-                        worker=shard,
-                        error=type(exc).__name__,
-                    )
+                self._note_death(shard, ctx.request_id, exc)
                 if first_error is None:
                     first_error = exc
                 continue
-            # Stitch: worker log events into the fleet log, worker spans
-            # onto lane shard+1 of this request's timeline (re-recorded
-            # from their durations, so clock skew cannot distort it).
-            for event_wire in events_wire:
-                self.log.ingest(decode_event(event_wire))
-            for span_wire in spans_wire:
-                name, duration_s, attributes = decode_span(span_wire)
-                tracer.record_span(
-                    name, duration_s, lane=shard + 1, **attributes
-                )
+            self._stitch(tracer, shard, spans_wire, events_wire)
             if len(wires) != len(indices):
                 if first_error is None:
                     first_error = ServiceError(
@@ -646,6 +576,35 @@ class ShardedDiffService:
                 f"unserved (first unfilled index {unfilled[0]})"
             )
         return [r for r in served if r is not None]
+
+    def _note_death(self, shard: int, request_id: str, exc: BaseException) -> None:
+        """Log ``worker_death`` when a failed shard call left its worker
+        process dead."""
+        if not self._workers[shard].alive:
+            self.log.log(
+                "worker_death",
+                request_id=request_id,
+                level="error",
+                worker=shard,
+                error=type(exc).__name__,
+            )
+
+    def _stitch(
+        self,
+        tracer: Tracer,
+        shard: int,
+        spans_wire: Sequence[SpanWire],
+        events_wire: Sequence[EventWire],
+    ) -> None:
+        """Fold a worker reply's observability into the request: its log
+        events into the fleet log, its spans onto lane ``shard + 1`` of
+        the request's timeline (re-recorded from their durations, so
+        clock skew cannot distort it)."""
+        for event_wire in events_wire:
+            self.log.ingest(decode_event(event_wire))
+        for span_wire in spans_wire:
+            name, duration_s, attributes = decode_span(span_wire)
+            tracer.record_span(name, duration_s, lane=shard + 1, **attributes)
 
     # -- streaming sessions --------------------------------------------- #
     @staticmethod
@@ -671,28 +630,28 @@ class ShardedDiffService:
             )
         return shard
 
-    def _session_lost(
-        self, session_id: str, shard: int, exc: BaseException
-    ) -> UnknownSessionError:
-        """Account for a session's shard dying under it: drop the
-        placement, log the death, and build the typed error the caller
-        re-raises.  The client recovers by reopening — placement then
-        walks past the dead shard."""
-        with self._stream_lock:
-            if self._stream_shards.get(session_id) == shard:
-                del self._stream_shards[session_id]
-        self.log.log(
-            "worker_death",
-            request_id=session_id,
-            level="error",
-            worker=shard,
-            error=type(exc).__name__,
-        )
-        return UnknownSessionError(
-            f"stream session {session_id!r} was lost with shard worker "
-            f"{shard} ({type(exc).__name__}); reopen the session — it "
-            f"will remap to a live shard"
-        )
+    def _session_call(
+        self, session_id: str, shard: int, kind: str, payload: Any
+    ) -> Any:
+        """One session op on the session's shard.  A shard that died
+        under the session drops the placement, logs the death and
+        raises a typed :class:`~repro.errors.UnknownSessionError`; the
+        client recovers by reopening — placement then walks past the
+        dead shard."""
+        try:
+            return self._workers[shard].call(kind, payload)
+        except ReproError as exc:
+            if self._workers[shard].alive:
+                raise
+            with self._stream_lock:
+                if self._stream_shards.get(session_id) == shard:
+                    del self._stream_shards[session_id]
+            self._note_death(shard, session_id, exc)
+            raise UnknownSessionError(
+                f"stream session {session_id!r} was lost with shard worker "
+                f"{shard} ({type(exc).__name__}); reopen the session — it "
+                f"will remap to a live shard"
+            ) from exc
 
     def stream_open(
         self,
@@ -717,12 +676,7 @@ class ShardedDiffService:
         policy_wire = (
             encode_stream_policy(policy) if policy is not None else None
         )
-        try:
-            self._workers[shard].call("stream_open", (session_id, policy_wire))
-        except ServiceError as exc:
-            if not self._workers[shard].alive:
-                raise self._session_lost(session_id, shard, exc) from exc
-            raise
+        self._session_call(session_id, shard, "stream_open", (session_id, policy_wire))
         with self._stream_lock:
             self._stream_shards[session_id] = shard
         self.log.log(
@@ -761,58 +715,31 @@ class ShardedDiffService:
                 parent_id=session_id, sample_rate=self.trace_sample_rate
             )
         tracer = Tracer()
-        started = time.perf_counter()
-        self.log.log(
-            "request_admitted",
-            request_id=ctx.request_id,
-            level="debug",
-            op="stream_frame",
-            tier="frontend",
-            session_id=session_id,
-        )
         try:
-            with tracer.span(
+            with self._lifecycle.track(
+                "stream_frame", ctx.request_id, frame.height
+            ), tracer.span(
                 "sharded_stream_frame",
                 request_id=ctx.request_id,
                 session_id=session_id,
                 worker=shard,
             ):
                 payload = (session_id, encode_image(frame), encode_context(ctx))
-                try:
-                    wire, spans_wire, events_wire = self._workers[shard].call(
-                        "stream_frame", payload
-                    )
-                except ReproError as exc:
-                    if not self._workers[shard].alive:
-                        raise self._session_lost(
-                            session_id, shard, exc
-                        ) from exc
-                    raise
-                for event_wire in events_wire:
-                    self.log.ingest(decode_event(event_wire))
-                for span_wire in spans_wire:
-                    name, duration_s, attributes = decode_span(span_wire)
-                    tracer.record_span(
-                        name, duration_s, lane=shard + 1, **attributes
-                    )
-                delta = decode_frame_delta(wire)
-        except BaseException as exc:
-            self._finish_request(ctx, tracer, started, exc, op="stream_frame")
-            raise
-        self._finish_request(ctx, tracer, started, None, op="stream_frame")
-        return delta
+                wire, spans_wire, events_wire = self._session_call(
+                    session_id, shard, "stream_frame", payload
+                )
+                self._stitch(tracer, shard, spans_wire, events_wire)
+                return decode_frame_delta(wire)
+        finally:
+            if ctx.sampled and tracer.spans:
+                self.trace_store.add(ctx.request_id, tracer.spans)
 
     def stream_close(self, session_id: str) -> Dict[str, float]:
         """End a session; returns its final stats dict."""
         shard = self._session_shard(session_id)
         with self._stream_lock:
             self._stream_shards.pop(session_id, None)
-        try:
-            stats = self._workers[shard].call("stream_close", session_id)
-        except ReproError as exc:
-            if not self._workers[shard].alive:
-                raise self._session_lost(session_id, shard, exc) from exc
-            raise
+        stats = self._session_call(session_id, shard, "stream_close", session_id)
         self.log.log(
             "stream_closed",
             request_id=session_id,
@@ -831,14 +758,9 @@ class ShardedDiffService:
         aggregate over every worker's open sessions."""
         if session_id is not None:
             shard = self._session_shard(session_id)
-            try:
-                return dict(
-                    self._workers[shard].call("stream_stats", session_id)
-                )
-            except ReproError as exc:
-                if not self._workers[shard].alive:
-                    raise self._session_lost(session_id, shard, exc) from exc
-                raise
+            return dict(
+                self._session_call(session_id, shard, "stream_stats", session_id)
+            )
         futures = []
         for handle in self._workers:
             if not handle.alive:
@@ -868,25 +790,6 @@ class ShardedDiffService:
         with self._stream_lock:
             return sorted(self._stream_shards)
 
-    def diff_images(self, image_a: RLEImage, image_b: RLEImage) -> ImageDiffResult:
-        """Whole-image diff through the shards; same assembly contract
-        as :meth:`DiffService.diff_images` (honours ``canonical``)."""
-        if image_a.shape != image_b.shape:
-            raise GeometryError(
-                f"image shapes differ: {image_a.shape} vs {image_b.shape}"
-            )
-        row_results = self.diff_rows(list(image_a), list(image_b))
-        return ImageDiffResult(
-            image=RLEImage(
-                (
-                    r.canonical_result if self.options.canonical else r.result
-                    for r in row_results
-                ),
-                width=image_a.width,
-            ),
-            row_results=row_results,
-        )
-
     # -- lifecycle ------------------------------------------------------ #
     def close(self, timeout: float = 5.0) -> None:
         """Drain and stop every worker.  Idempotent."""
@@ -902,10 +805,6 @@ class ShardedDiffService:
 
     def __exit__(self, *exc: object) -> None:
         self.close()
-
-
-def _encode_row(row: RLERow) -> Tuple[Tuple[Tuple[int, int], ...], Optional[int]]:
-    return (tuple((r.start, r.length) for r in row.runs), row.width)
 
 
 # --------------------------------------------------------------------- #
@@ -951,9 +850,10 @@ class ShardedServer:
 
     The protocol is versioned: every response carries
     ``"v": PROTOCOL_VERSION``; a request may declare its version the
-    same way, and an unsupported one — like an unknown ``op`` or a
-    non-JSON line — is rejected with a typed
-    :class:`~repro.errors.ProtocolError` rather than a generic failure.
+    same way, and an unsupported one — like an unknown ``op``, a
+    non-JSON line or one longer than :data:`MAX_REQUEST_LINE` — is
+    rejected with a typed :class:`~repro.errors.ProtocolError` rather
+    than a generic failure or a closed connection.
 
     Dispatch runs in the loop's default executor so a long engine batch
     never blocks other connections' reads.
@@ -972,7 +872,7 @@ class ShardedServer:
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port, limit=MAX_REQUEST_LINE
         )
         sockets = self._server.sockets
         if sockets:
@@ -1001,22 +901,32 @@ class ShardedServer:
         loop = asyncio.get_running_loop()
         try:
             while True:
-                line = await reader.readline()
-                if not line:
+                line = await _read_line(reader)
+                if line == b"":
                     break
-                try:
-                    request = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    # unparseable lines never reach _dispatch, so the
-                    # version stamp has to happen here too
+                # lines that never reach _dispatch (over the limit, bad
+                # UTF-8, invalid or too deeply nested JSON) get their
+                # version stamp here
+                if line is None:
                     response = _error_response(
-                        ProtocolError(f"request is not valid JSON: {exc}")
+                        ProtocolError(
+                            f"request line exceeds the {MAX_REQUEST_LINE}-byte "
+                            f"limit (see docs/SERVING.md); the line was discarded"
+                        )
                     )
                     response["v"] = PROTOCOL_VERSION
                 else:
-                    response = await loop.run_in_executor(
-                        None, self._dispatch, request
-                    )
+                    try:
+                        request = json.loads(line)
+                    except (ValueError, RecursionError) as exc:
+                        response = _error_response(
+                            ProtocolError(f"request is not valid JSON: {exc}")
+                        )
+                        response["v"] = PROTOCOL_VERSION
+                    else:
+                        response = await loop.run_in_executor(
+                            None, self._dispatch, request
+                        )
                 writer.write(json.dumps(response).encode("utf-8") + b"\n")
                 await writer.drain()
         finally:
@@ -1120,7 +1030,7 @@ class ShardedServer:
                     sample_rate=self.service.trace_sample_rate,
                 )
                 delta = self.service.stream_frame(
-                    session_id, _image_from_json(frame_wire), ctx=ctx
+                    session_id, decode_image(frame_wire), ctx=ctx
                 )
                 return {
                     "ok": True,
@@ -1155,6 +1065,27 @@ class ShardedServer:
             )
 
 
+async def _read_line(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """The next request line (``b""`` at end of stream), or ``None`` for
+    a line over :data:`MAX_REQUEST_LINE`, whose bytes are dropped as they
+    arrive instead of being buffered."""
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial
+    except asyncio.LimitOverrunError as exc:
+        consumed = exc.consumed
+    while True:
+        await reader.readexactly(consumed)
+        try:
+            await reader.readuntil(b"\n")
+            return None
+        except asyncio.IncompleteReadError:
+            return None
+        except asyncio.LimitOverrunError as exc:
+            consumed = exc.consumed
+
+
 def _error_response(exc: ReproError) -> Dict[str, Any]:
     return {"ok": False, "error": type(exc).__name__, "message": str(exc)}
 
@@ -1172,17 +1103,6 @@ def _row_from_json(wire: Any) -> RLERow:
     pairs, width = wire
     return RLERow.from_pairs(
         [(int(start), int(length)) for start, length in pairs], width=width
-    )
-
-
-def _image_from_json(wire: Any) -> RLEImage:
-    rows_wire, width = wire
-    return RLEImage.from_row_pairs(
-        [
-            [(int(start), int(length)) for start, length in pairs]
-            for pairs in rows_wire
-        ],
-        width=int(width),
     )
 
 
@@ -1322,8 +1242,8 @@ class ShardClient:
         call into their own trace)."""
         request: Dict[str, Any] = {
             "op": "diff_rows",
-            "rows_a": [_encode_row(r) for r in rows_a],
-            "rows_b": [_encode_row(r) for r in rows_b],
+            "rows_a": [encode_row(r) for r in rows_a],
+            "rows_b": [encode_row(r) for r in rows_b],
         }
         if request_id is not None:
             request["request_id"] = request_id

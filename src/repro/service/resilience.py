@@ -48,13 +48,11 @@ import threading
 import time
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FuturesTimeout
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
     Dict,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -81,7 +79,6 @@ from repro.core.machine import XorRunResult
 from repro.core.options import DiffOptions, IMAGE_DEFAULTS, resolve_options
 from repro.core.pipeline import ImageDiffResult
 from repro.obs.log import StructuredLog
-from repro.obs.metrics import LATENCY_BUCKETS_S, Histogram
 from repro.service.batcher import (
     DEFAULT_MAX_BATCH,
     DEFAULT_MAX_LATENCY,
@@ -90,6 +87,7 @@ from repro.service.batcher import (
     compute_row_diffs,
 )
 from repro.service.cache import DEFAULT_CACHE_BYTES
+from repro.service.lifecycle import DEFAULT_SLO_SECONDS, RequestLifecycle
 from repro.service.service import DiffService
 
 __all__ = [
@@ -167,7 +165,7 @@ class ResiliencePolicy:
     #: failing) later than this counts as an SLO breach in the
     #: ``repro_slo_breaches_total`` family and ``stats()``.  ``None``
     #: disables SLO accounting.
-    slo_seconds: Optional[float] = 0.5
+    slo_seconds: Optional[float] = DEFAULT_SLO_SECONDS
 
     def __post_init__(self) -> None:
         if self.slo_seconds is not None and self.slo_seconds <= 0:
@@ -486,12 +484,14 @@ class ResilientDiffService:
         self.degraded_serves = 0
         self.shed = 0
         self.healed = 0
-        self.slo_breaches = 0
         self.log = log
-        # Always-on latency distribution (independent of the optional
-        # metrics registry) so stats() can answer latency_p50/p99 and
-        # SLO burn even when no registry was threaded.
-        self._latency_hist = Histogram(LATENCY_BUCKETS_S)
+        self._lifecycle = RequestLifecycle(
+            "service",
+            log=log,
+            metrics=opts.metrics,
+            slo_seconds=self.policy.slo_seconds,
+            clock=clock,
+        )
 
         metrics = opts.metrics
         self._m_retries: Any = None
@@ -500,8 +500,6 @@ class ResilientDiffService:
         self._m_outcomes: Any = None
         self._m_transitions: Any = None
         self._m_state: Any = None
-        self._m_latency: Any = None
-        self._m_slo: Any = None
         if metrics is not None:
             self._m_retries = metrics.counter(
                 "repro_resilience_retries_total",
@@ -531,17 +529,6 @@ class ResilientDiffService:
                 "breaker state (0=closed, 1=half_open, 2=open)",
             ).labels()
             self._m_state.set(BREAKER_STATE_VALUES[BREAKER_CLOSED])
-            self._m_latency = metrics.histogram(
-                "repro_request_latency_seconds",
-                "request latency by operation and tier",
-                ("op", "tier"),
-                buckets=LATENCY_BUCKETS_S,
-            )
-            self._m_slo = metrics.counter(
-                "repro_slo_breaches_total",
-                "requests slower than the policy's slo_seconds budget",
-                ("op",),
-            )
 
         self.breaker = CircuitBreaker(
             self.policy, clock=clock, on_transition=self._note_transition
@@ -571,6 +558,11 @@ class ResilientDiffService:
         """The wrapped inner service (cache and batcher live there)."""
         return self._service
 
+    @property
+    def slo_breaches(self) -> int:
+        """Requests that ended later than ``policy.slo_seconds``."""
+        return self._lifecycle.slo_breaches
+
     def stats(self) -> Dict[str, float]:
         """Inner cache/batcher stats plus the resilience counters."""
         info = self._service.stats()
@@ -582,9 +574,9 @@ class ResilientDiffService:
             info["resilience_degraded_serves"] = float(self.degraded_serves)
             info["resilience_shed"] = float(self.shed)
             info["resilience_healed"] = float(self.healed)
-            info["slo_breaches"] = float(self.slo_breaches)
-        info["latency_p50"] = self._latency_hist.quantile(0.5)
-        info["latency_p99"] = self._latency_hist.quantile(0.99)
+        info["slo_breaches"] = float(self.slo_breaches)
+        info["latency_p50"] = self._lifecycle.latency.quantile(0.5)
+        info["latency_p99"] = self._lifecycle.latency.quantile(0.99)
         info["breaker_state"] = BREAKER_STATE_VALUES[self.breaker.state]
         info["breaker_failure_rate"] = self.breaker.failure_rate
         # transition_count reads len() under the breaker's own lock —
@@ -593,7 +585,7 @@ class ResilientDiffService:
         return info
 
     # ------------------------------------------------------------------ #
-    # Row requests                                                       #
+    # Requests: every entry point adapts the one _serve sequence         #
     # ------------------------------------------------------------------ #
     def submit_row_diff(
         self, row_a: RLERow, row_b: RLERow
@@ -608,9 +600,8 @@ class ResilientDiffService:
         ``future.result(timeout=...)`` or :meth:`row_diff`).
         """
         if not self.breaker.allow():
-            result = self._degraded_row_lookup(row_a, row_b)
             future: "Future[XorRunResult]" = Future()
-            future.set_result(result)
+            future.set_result(self._degraded_lookup([row_a], [row_b])[0])
             return future
         return self._service.submit_row_diff(row_a, row_b)
 
@@ -621,56 +612,19 @@ class ResilientDiffService:
         deadline: Optional[float] = None,
         request_id: Optional[str] = None,
     ) -> XorRunResult:
-        """Synchronous row diff under the full policy: breaker
-        admission, per-request deadline (``deadline`` overrides
-        ``policy.deadline``), retries and validation.  ``request_id``
+        """Synchronous row diff under the full policy (``deadline``
+        overrides ``policy.deadline``).
+
+        The :meth:`diff_rows` sequence for one pair, except that the
+        pair is queued on the inner batcher and its future is awaited
+        against the deadline — so this call returns at its deadline
+        even while the engine batch is still running.  ``request_id``
         stamps the request's log events (see
         :class:`~repro.obs.context.RequestContext`).
         """
-        with self._observe_request("row_diff", request_id, 1):
-            return self._row_diff_inner(row_a, row_b, deadline)
+        with self._lifecycle.track("row_diff", request_id, 1):
+            return self._serve([row_a], [row_b], deadline, queued=True)[0]
 
-    def _row_diff_inner(
-        self,
-        row_a: RLERow,
-        row_b: RLERow,
-        deadline: Optional[float],
-    ) -> XorRunResult:
-        budget = deadline if deadline is not None else self.policy.deadline
-        start = self._clock()
-        if not self.breaker.allow():
-            return self._degraded_row_lookup(row_a, row_b)
-        try:
-            result = self._await(
-                self._service.submit_row_diff(row_a, row_b), start, budget
-            )
-            if self.policy.validate_results:
-                result = self._heal_row(row_a, row_b, result, start, budget)
-        except _CALLER_ERRORS:
-            raise
-        except ServiceOverloadError:
-            raise
-        except DeadlineExceededError:
-            self._count_deadline()
-            self.breaker.record_failure()
-            raise
-        except ReproError:
-            self._count_outcome("failed")
-            self.breaker.record_failure()
-            raise
-        except Exception as exc:
-            self._count_outcome("failed")
-            self.breaker.record_failure()
-            raise RetryExhaustedError(
-                f"row diff failed with untyped {type(exc).__name__}: {exc}"
-            ) from exc
-        self._count_outcome("ok")
-        self.breaker.record_success()
-        return result
-
-    # ------------------------------------------------------------------ #
-    # Image requests                                                     #
-    # ------------------------------------------------------------------ #
     def diff_images(
         self,
         image_a: RLEImage,
@@ -678,59 +632,17 @@ class ResilientDiffService:
         deadline: Optional[float] = None,
         request_id: Optional[str] = None,
     ) -> ImageDiffResult:
-        """Whole-image diff under the full policy.
-
-        The bulk path computes inline, so the deadline is enforced at
-        batch boundaries (a running NumPy batch cannot be preempted):
-        retries stop once the budget is gone, and a request whose total
-        elapsed time exceeds it raises
-        :class:`~repro.errors.DeadlineExceededError` rather than
-        returning late results.
-        """
-        with self._observe_request("diff_images", request_id, image_a.height):
-            return self._diff_images_inner(image_a, image_b, deadline)
-
-    def _diff_images_inner(
-        self,
-        image_a: RLEImage,
-        image_b: RLEImage,
-        deadline: Optional[float],
-    ) -> ImageDiffResult:
-        budget = deadline if deadline is not None else self.policy.deadline
-        start = self._clock()
-        if not self.breaker.allow():
-            return self._degraded_image_lookup(image_a, image_b)
-        try:
-            result = self._service.diff_images(image_a, image_b)
-            if self.policy.validate_results:
-                result = self._heal_image(image_a, image_b, result)
-        except _CALLER_ERRORS:
-            raise
-        except ServiceOverloadError:
-            raise
-        except DeadlineExceededError:
-            self._count_deadline()
-            self.breaker.record_failure()
-            raise
-        except ReproError:
-            self._count_outcome("failed")
-            self.breaker.record_failure()
-            raise
-        except Exception as exc:
-            self._count_outcome("failed")
-            self.breaker.record_failure()
-            raise RetryExhaustedError(
-                f"image diff failed with untyped {type(exc).__name__}: {exc}"
-            ) from exc
-        if budget is not None and self._clock() - start > budget:
-            self._count_deadline()
-            self.breaker.record_failure()
-            raise DeadlineExceededError(
-                f"image diff completed after its {budget:g}s deadline"
-            )
-        self._count_outcome("ok")
-        self.breaker.record_success()
-        return result
+        """Whole-image diff under the full policy: :meth:`diff_rows`
+        over the images' rows, assembled like
+        :meth:`DiffService.diff_images
+        <repro.service.DiffService.diff_images>`."""
+        with self._lifecycle.track("diff_images", request_id, image_a.height):
+            if image_a.shape != image_b.shape:
+                raise GeometryError(
+                    f"image shapes differ: {image_a.shape} vs {image_b.shape}"
+                )
+            rows = self._serve(list(image_a), list(image_b), deadline)
+        return ImageDiffResult.assemble(rows, image_a.width, self.options.canonical)
 
     def diff_rows(
         self,
@@ -742,30 +654,45 @@ class ResilientDiffService:
         """Bulk row-pair diff under the full policy.
 
         The request unit of the sharded tier
-        (:mod:`repro.service.shard`): a worker serves each routed slice
-        through this method, so backpressure, breaker admission,
-        degraded cache-only serving and validation all apply per slice
-        exactly as :meth:`diff_images` applies them per image.
-        ``request_id`` stamps the slice's log events with the
-        originating request's identity.
+        (:mod:`repro.service.shard`) and the path under every other
+        entry point: breaker admission (degraded cache-only serving
+        when open), the inner service's bulk serve, validation with
+        self-healing, and the deadline.  The bulk path computes inline,
+        so the deadline is checked when the batch ends (a running NumPy
+        batch cannot be preempted): retries stop once the budget is
+        gone, and a request finishing later raises
+        :class:`~repro.errors.DeadlineExceededError` rather than
+        returning late results.  ``request_id`` stamps the request's
+        log events with the originating request's identity.
         """
-        with self._observe_request("diff_rows", request_id, len(rows_a)):
-            return self._diff_rows_inner(rows_a, rows_b, deadline)
+        with self._lifecycle.track("diff_rows", request_id, len(rows_a)):
+            return self._serve(rows_a, rows_b, deadline)
 
-    def _diff_rows_inner(
+    def _serve(
         self,
         rows_a: Sequence[RLERow],
         rows_b: Sequence[RLERow],
         deadline: Optional[float],
+        queued: bool = False,
     ) -> List[XorRunResult]:
+        """Admission, serve, self-heal, deadline and outcome for one
+        request."""
+        if len(rows_a) != len(rows_b):
+            raise GeometryError(
+                f"row sequences differ in length: {len(rows_a)} vs {len(rows_b)}"
+            )
         budget = deadline if deadline is not None else self.policy.deadline
         start = self._clock()
         if not self.breaker.allow():
-            return self._degraded_rows_lookup(rows_a, rows_b)
+            return self._degraded_lookup(rows_a, rows_b)
         try:
-            results = self._service.diff_rows(rows_a, rows_b)
+            results = self._fetch(rows_a, rows_b, start, budget, queued)
             if self.policy.validate_results:
-                results = self._heal_rows(rows_a, rows_b, results)
+                results = self._heal(rows_a, rows_b, results, start, budget, queued)
+            if budget is not None and self._clock() - start > budget:
+                raise DeadlineExceededError(
+                    f"request completed after its {budget:g}s deadline"
+                )
         except _CALLER_ERRORS:
             raise
         except ServiceOverloadError:
@@ -782,14 +709,8 @@ class ResilientDiffService:
             self._count_outcome("failed")
             self.breaker.record_failure()
             raise RetryExhaustedError(
-                f"bulk row diff failed with untyped {type(exc).__name__}: {exc}"
+                f"request failed with untyped {type(exc).__name__}: {exc}"
             ) from exc
-        if budget is not None and self._clock() - start > budget:
-            self._count_deadline()
-            self.breaker.record_failure()
-            raise DeadlineExceededError(
-                f"bulk row diff completed after its {budget:g}s deadline"
-            )
         self._count_outcome("ok")
         self.breaker.record_success()
         return results
@@ -827,7 +748,6 @@ class ResilientDiffService:
                 and self._clock() - start >= policy.deadline
                 and attempt > 0
             ):
-                self._count_deadline()
                 raise DeadlineExceededError(
                     f"engine batch abandoned after {policy.deadline:g}s "
                     f"({attempt} attempt(s) made)"
@@ -880,96 +800,42 @@ class ResilientDiffService:
             self._sleep(delay)
 
     # ------------------------------------------------------------------ #
-    # Deadline wait + self-healing                                       #
+    # Inner serve, self-healing and the degraded mode                    #
     # ------------------------------------------------------------------ #
-    def _await(
+    def _fetch(
         self,
-        future: "Future[XorRunResult]",
+        rows_a: Sequence[RLERow],
+        rows_b: Sequence[RLERow],
         start: float,
         budget: Optional[float],
-    ) -> XorRunResult:
+        queued: bool,
+    ) -> List[XorRunResult]:
+        """The inner service's results: one bulk request, or (``queued``)
+        the single pair's batcher future awaited against the budget."""
+        if not queued:
+            return self._service.diff_rows(rows_a, rows_b)
+        future = self._service.submit_row_diff(rows_a[0], rows_b[0])
         if budget is None:
-            return future.result()
-        remaining = budget - (self._clock() - start)
+            return [future.result()]
         try:
-            return future.result(timeout=max(0.0, remaining))
+            return [future.result(timeout=max(0.0, budget - (self._clock() - start)))]
         except FuturesTimeout:
             raise DeadlineExceededError(
                 f"row diff still pending after its {budget:g}s deadline"
             ) from None
 
-    def _heal_row(
-        self,
-        row_a: RLERow,
-        row_b: RLERow,
-        result: XorRunResult,
-        start: float,
-        budget: Optional[float],
-    ) -> XorRunResult:
-        """Validate a served row result; a corrupt one (a rotted cache
-        entry — computed results were already validated upstream) is
-        invalidated and recomputed once."""
-        if self._service.cache is None:
-            # no cache, no rot: the result came straight out of the
-            # validated compute chain — don't pay for a second pass
-            return result
-        try:
-            validate_result(self.options, row_a, row_b, result)
-            return result
-        except CorruptResultError:
-            cache = self._service.cache
-            if cache is not None:
-                cache.invalidate(cache.key_for(row_a, row_b, self.options))
-            self._count_retry()
-            self._count_healed()
-            fresh = self._await(
-                self._service.submit_row_diff(row_a, row_b), start, budget
-            )
-            validate_result(self.options, row_a, row_b, fresh)
-            return fresh
-
-    def _heal_image(
-        self,
-        image_a: RLEImage,
-        image_b: RLEImage,
-        result: ImageDiffResult,
-    ) -> ImageDiffResult:
-        """Validate every row of a served image; invalidate any corrupt
-        cache entries and recompute the image once."""
-        cache = self._service.cache
-        if cache is None:
-            # no cache, no rot: every row came straight out of the
-            # validated compute chain — don't pay for a second pass
-            return result
-        corrupt = [
-            (row_a, row_b)
-            for row_a, row_b, row_result in zip(
-                image_a, image_b, result.row_results
-            )
-            if not _is_valid(self.options, row_a, row_b, row_result)
-        ]
-        if not corrupt:
-            return result
-        for row_a, row_b in corrupt:
-            cache.invalidate(cache.key_for(row_a, row_b, self.options))
-        self._count_retry()
-        self._count_healed()
-        fresh = self._service.diff_images(image_a, image_b)
-        for row_a, row_b, row_result in zip(
-            image_a, image_b, fresh.row_results
-        ):
-            validate_result(self.options, row_a, row_b, row_result)
-        return fresh
-
-    def _heal_rows(
+    def _heal(
         self,
         rows_a: Sequence[RLERow],
         rows_b: Sequence[RLERow],
         results: List[XorRunResult],
+        start: float,
+        budget: Optional[float],
+        queued: bool,
     ) -> List[XorRunResult]:
-        """Validate every served row result; invalidate any corrupt
-        cache entries and recompute the batch once (the bulk analogue
-        of :meth:`_heal_image`)."""
+        """Validate every served result; a corrupt one is a rotted cache
+        entry (computed results were validated upstream), so invalidate
+        the corrupt entries and serve the request once more."""
         cache = self._service.cache
         if cache is None:
             # no cache, no rot: every row came straight out of the
@@ -986,35 +852,16 @@ class ResilientDiffService:
             cache.invalidate(cache.key_for(row_a, row_b, self.options))
         self._count_retry()
         self._count_healed()
-        fresh = self._service.diff_rows(rows_a, rows_b)
+        fresh = self._fetch(rows_a, rows_b, start, budget, queued)
         for row_a, row_b, result in zip(rows_a, rows_b, fresh):
             validate_result(self.options, row_a, row_b, result)
         return fresh
 
-    # ------------------------------------------------------------------ #
-    # Degraded modes (breaker open / out of probes)                      #
-    # ------------------------------------------------------------------ #
-    def _degraded_row_lookup(self, row_a: RLERow, row_b: RLERow) -> XorRunResult:
-        cache = self._service.cache
-        if cache is not None:
-            hit = cache.lookup(row_a, row_b, self.options)
-            if hit is not None and _is_valid(self.options, row_a, row_b, hit):
-                self._count_degraded("cache_only")
-                return hit
-        self._count_degraded("shed")
-        raise ServiceOverloadError(
-            "circuit breaker open: engine path disabled and the request "
-            "missed the cache — shedding load, retry after "
-            f"{self.policy.breaker_reset_timeout:g}s"
-        )
-
-    def _degraded_rows_lookup(
+    def _degraded_lookup(
         self, rows_a: Sequence[RLERow], rows_b: Sequence[RLERow]
     ) -> List[XorRunResult]:
-        if len(rows_a) != len(rows_b):
-            raise GeometryError(
-                f"row sequences differ in length: {len(rows_a)} vs {len(rows_b)}"
-            )
+        """Breaker open: serve the whole request from the cache, or shed
+        it — the engine path stays disabled either way."""
         cache = self._service.cache
         served: List[XorRunResult] = []
         if cache is not None:
@@ -1026,131 +873,12 @@ class ResilientDiffService:
         if cache is None or len(served) < len(rows_a):
             self._count_degraded("shed")
             raise ServiceOverloadError(
-                "circuit breaker open: engine path disabled and the batch "
+                "circuit breaker open: engine path disabled and the request "
                 "is not fully cached — shedding load, retry after "
                 f"{self.policy.breaker_reset_timeout:g}s"
             )
         self._count_degraded("cache_only")
         return served
-
-    def _degraded_image_lookup(
-        self, image_a: RLEImage, image_b: RLEImage
-    ) -> ImageDiffResult:
-        if image_a.shape != image_b.shape:
-            raise GeometryError(
-                f"image shapes differ: {image_a.shape} vs {image_b.shape}"
-            )
-        cache = self._service.cache
-        rows_a, rows_b = list(image_a), list(image_b)
-        served: List[XorRunResult] = []
-        if cache is not None:
-            for row_a, row_b in zip(rows_a, rows_b):
-                hit = cache.lookup(row_a, row_b, self.options)
-                if hit is None or not _is_valid(self.options, row_a, row_b, hit):
-                    break
-                served.append(hit)
-        if cache is None or len(served) < len(rows_a):
-            self._count_degraded("shed")
-            raise ServiceOverloadError(
-                "circuit breaker open: engine path disabled and the image "
-                "is not fully cached — shedding load, retry after "
-                f"{self.policy.breaker_reset_timeout:g}s"
-            )
-        self._count_degraded("cache_only")
-        return ImageDiffResult(
-            image=RLEImage(
-                (
-                    r.canonical_result if self.options.canonical else r.result
-                    for r in served
-                ),
-                width=image_a.width,
-            ),
-            row_results=served,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Per-request observation (latency, SLO, lifecycle log events)       #
-    # ------------------------------------------------------------------ #
-    @contextmanager
-    def _observe_request(
-        self, op: str, request_id: Optional[str], units: int
-    ) -> Iterator[None]:
-        """Wraps one request: admitted/terminal log events, the latency
-        histogram, and SLO-breach accounting, on every exit path."""
-        started = self._clock()
-        if self.log is not None:
-            self.log.log(
-                "request_admitted",
-                request_id=request_id,
-                level="debug",
-                op=op,
-                units=units,
-            )
-        try:
-            yield
-        except BaseException as exc:
-            self._finish_request(op, started, request_id, exc)
-            raise
-        else:
-            self._finish_request(op, started, request_id, None)
-
-    def _finish_request(
-        self,
-        op: str,
-        started: float,
-        request_id: Optional[str],
-        exc: Optional[BaseException],
-    ) -> None:
-        elapsed = max(0.0, self._clock() - started)
-        self._latency_hist.observe(elapsed)
-        if self._m_latency is not None:
-            self._m_latency.labels(op=op, tier="service").observe(elapsed)
-        slo = self.policy.slo_seconds
-        breached = slo is not None and elapsed > slo
-        if breached:
-            with self._lock:
-                self.slo_breaches += 1
-            if self._m_slo is not None:
-                self._m_slo.labels(op=op).inc()
-        if self.log is None:
-            return
-        if exc is None:
-            self.log.log(
-                "request_completed",
-                request_id=request_id,
-                level="debug",
-                op=op,
-                ok=True,
-                seconds=elapsed,
-                slo_breach=breached,
-            )
-        elif isinstance(exc, ServiceOverloadError):
-            self.log.log(
-                "request_shed",
-                request_id=request_id,
-                level="warning",
-                op=op,
-                seconds=elapsed,
-            )
-        elif isinstance(exc, DeadlineExceededError):
-            self.log.log(
-                "deadline_expired",
-                request_id=request_id,
-                level="warning",
-                op=op,
-                seconds=elapsed,
-            )
-        else:
-            self.log.log(
-                "request_completed",
-                request_id=request_id,
-                level="warning",
-                op=op,
-                ok=False,
-                error=type(exc).__name__,
-                seconds=elapsed,
-                slo_breach=breached,
-            )
 
     # ------------------------------------------------------------------ #
     # Accounting                                                         #

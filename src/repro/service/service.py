@@ -31,28 +31,15 @@ Usage::
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
-
 from concurrent.futures import Future
+from typing import Dict, List, Optional, Sequence, Union
 
-from repro.errors import GeometryError, ServiceError
+from repro.errors import GeometryError
 from repro.rle.image import RLEImage
 from repro.rle.row import RLERow
 from repro.core.machine import XorRunResult
 from repro.core.options import IMAGE_DEFAULTS, DiffOptions, resolve_options
 from repro.core.pipeline import ImageDiffResult
-from repro.obs.context import new_request_id
 from repro.obs.log import StructuredLog
 from repro.service.batcher import (
     DEFAULT_MAX_BATCH,
@@ -60,30 +47,12 @@ from repro.service.batcher import (
     DEFAULT_MAX_PENDING,
     ComputeFn,
     RowDiffBatcher,
-    compute_row_diffs,
 )
-from repro.service.cache import DEFAULT_CACHE_BYTES, CacheKey, DiffCache
+from repro.service.cache import DEFAULT_CACHE_BYTES, DiffCache
+from repro.service.lifecycle import DEFAULT_SLO_SECONDS, RequestLifecycle
 from repro.service.store import DEFAULT_DISK_BUDGET, RowStore
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.metrics import MetricsRegistry
-
 __all__ = ["DiffService"]
-
-
-def _check_computed(got: int, expected: int) -> None:
-    """The ComputeFn contract: exactly one result per unique miss.
-
-    A short return silently truncates the batch under ``zip``; a long
-    one silently discards work.  Both indicate a broken compute hook
-    (or a fault injector left attached), so both fail the request with
-    a typed error instead of serving a wrong-shaped answer.
-    """
-    if got != expected:
-        raise ServiceError(
-            f"compute returned {got} result(s) for {expected} unique "
-            f"miss(es); refusing to serve a mismatched batch"
-        )
 
 
 class DiffService:
@@ -117,9 +86,10 @@ class DiffService:
         wrapper are ever stored.
     log:
         An optional :class:`~repro.obs.log.StructuredLog`.  When set,
-        every :meth:`row_diff` / :meth:`diff_rows` request emits
-        ``request_admitted``/``request_completed`` events under a
-        request id (caller-supplied, or generated via
+        every :meth:`row_diff` / :meth:`diff_rows` / :meth:`diff_images`
+        request emits its lifecycle records (tier ``base``, see
+        :mod:`repro.service.lifecycle`) under a request id
+        (caller-supplied, or generated via
         :func:`~repro.obs.context.new_request_id`).  Leave unset when
         wrapping with
         :class:`~repro.service.resilience.ResilientDiffService` — the
@@ -154,11 +124,6 @@ class DiffService:
     ) -> None:
         opts = resolve_options(options, {}, IMAGE_DEFAULTS, "DiffService")
         self.options = opts.without_observability()
-        self.log = log
-        self._metrics: "Optional[MetricsRegistry]" = opts.metrics
-        self._compute: ComputeFn = (
-            compute if compute is not None else compute_row_diffs
-        )
         self.store: Optional[RowStore] = None
         if opts.cache_dir is not None and cache_bytes > 0:
             self.store = RowStore(
@@ -185,7 +150,18 @@ class DiffService:
             max_latency=max_latency,
             max_pending=max_pending,
             metrics=opts.metrics,
-            compute=self._compute,
+            compute=compute,
+        )
+        # Request accounting is log-only at this tier: latency and SLO
+        # metrics are recorded by the resilient and front-end tiers.
+        self._lifecycle = RequestLifecycle(
+            "base",
+            log=log,
+            slo_seconds=(
+                opts.resilience.slo_seconds
+                if opts.resilience is not None
+                else DEFAULT_SLO_SECONDS
+            ),
         )
 
     # ------------------------------------------------------------------ #
@@ -204,11 +180,11 @@ class DiffService:
         self, row_a: RLERow, row_b: RLERow, request_id: Optional[str] = None
     ) -> XorRunResult:
         """Synchronous row diff (submit + wait)."""
-        with self._observe("row_diff", request_id, 1):
+        with self._lifecycle.track("row_diff", request_id, 1):
             return self.submit_row_diff(row_a, row_b).result()
 
     # ------------------------------------------------------------------ #
-    # Image requests                                                     #
+    # Bulk requests                                                      #
     # ------------------------------------------------------------------ #
     def diff_images(
         self,
@@ -216,35 +192,17 @@ class DiffService:
         image_b: RLEImage,
         request_id: Optional[str] = None,
     ) -> ImageDiffResult:
-        """Difference two equal-shape images through the service.
-
-        An image is already a batch, so this path skips the request
-        queue entirely: one bulk pass over the cache (repeated frames
-        and static background rows are served without touching an
-        engine), then one
-        :func:`~repro.service.batcher.compute_row_diffs` batch over the
-        deduplicated misses.  Outcomes land in the same counters as
-        queued row requests.  The assembled
-        :class:`~repro.core.pipeline.ImageDiffResult` matches the
-        functional API's, honouring ``options.canonical``.
-        """
-        if image_a.shape != image_b.shape:
-            raise GeometryError(
-                f"image shapes differ: {image_a.shape} vs {image_b.shape}"
-            )
-        row_results = self.diff_rows(
-            list(image_a), list(image_b), request_id=request_id
-        )
-        return ImageDiffResult(
-            image=RLEImage(
-                (
-                    r.canonical_result if self.options.canonical else r.result
-                    for r in row_results
-                ),
-                width=image_a.width,
-            ),
-            row_results=row_results,
-        )
+        """Difference two equal-shape images through the service: the
+        :meth:`diff_rows` path over their rows, assembled into an
+        :class:`~repro.core.pipeline.ImageDiffResult` that matches the
+        functional API's, honouring ``options.canonical``."""
+        with self._lifecycle.track("diff_images", request_id, image_a.height):
+            if image_a.shape != image_b.shape:
+                raise GeometryError(
+                    f"image shapes differ: {image_a.shape} vs {image_b.shape}"
+                )
+            rows = self._batcher.serve(list(image_a), list(image_b), self.cache)
+        return ImageDiffResult.assemble(rows, image_a.width, self.options.canonical)
 
     def diff_rows(
         self,
@@ -254,120 +212,22 @@ class DiffService:
     ) -> List[XorRunResult]:
         """Difference ``len(rows_a)`` row pairs as one bulk request.
 
-        The bulk path under :meth:`diff_images`, exposed directly: one
-        cache pass over every pair, one engine batch over the deduped
-        misses, results in input order.  This is the request unit the
-        sharded tier's workers serve (see :mod:`repro.service.shard`).
+        The service's request path: an image is already a batch, so it
+        skips the request queue — one pass over the cache (repeated
+        frames and static background rows are served without touching
+        an engine), one engine batch over the deduplicated misses,
+        results in input order, outcomes counted with the queued row
+        requests (:meth:`RowDiffBatcher.serve
+        <repro.service.batcher.RowDiffBatcher.serve>`).  This is the
+        request unit the sharded tier's workers serve (see
+        :mod:`repro.service.shard`).
         """
-        rows_a, rows_b = list(rows_a), list(rows_b)
-        if len(rows_a) != len(rows_b):
-            raise GeometryError(
-                f"row sequences differ in length: {len(rows_a)} vs {len(rows_b)}"
-            )
-        with self._observe("diff_rows", request_id, len(rows_a)):
-            return self._serve_bulk(rows_a, rows_b)
-
-    @contextmanager
-    def _observe(
-        self, op: str, request_id: Optional[str], units: int
-    ) -> Iterator[None]:
-        """Emit the admitted/completed event pair around one request
-        when a :class:`~repro.obs.log.StructuredLog` is attached (a
-        no-op otherwise — the unlogged path costs one attribute check).
-        """
-        if self.log is None:
-            yield
-            return
-        rid = request_id if request_id is not None else new_request_id()
-        started = time.perf_counter()
-        self.log.log(
-            "request_admitted",
-            request_id=rid,
-            level="debug",
-            op=op,
-            tier="base",
-            units=units,
-        )
-        try:
-            yield
-        except BaseException as exc:
-            self.log.log(
-                "request_completed",
-                request_id=rid,
-                level="warning",
-                op=op,
-                tier="base",
-                ok=False,
-                error=type(exc).__name__,
-                seconds=max(0.0, time.perf_counter() - started),
-            )
-            raise
-        self.log.log(
-            "request_completed",
-            request_id=rid,
-            level="debug",
-            op=op,
-            tier="base",
-            ok=True,
-            seconds=max(0.0, time.perf_counter() - started),
-        )
-
-    def _serve_bulk(
-        self, rows_a: List[RLERow], rows_b: List[RLERow]
-    ) -> List[XorRunResult]:
-        """Cache-check every pair, compute the deduped misses as one
-        engine batch, store, and return results in input order."""
-        if not rows_a:
-            return []
-        if self.cache is None:
-            results = self._compute(self.options, rows_a, rows_b)
-            _check_computed(len(results), len(rows_a))
-            self._batcher.record_outcomes(computed=len(results))
-            return results
-        served: List[Optional[XorRunResult]] = [None] * len(rows_a)
-        waiters: Dict[CacheKey, List[int]] = {}
-        order: List[Tuple[CacheKey, int]] = []
-        hits = coalesced = 0
-        for i, (ra, rb) in enumerate(zip(rows_a, rows_b)):
-            key = self.cache.key_for(ra, rb, self.options)
-            hit = self.cache.get(key, ra, rb)
-            if hit is not None:
-                served[i] = hit
-                hits += 1
-                continue
-            indices = waiters.get(key)
-            if indices is None:
-                waiters[key] = [i]
-                order.append((key, i))
-            else:
-                indices.append(i)
-                coalesced += 1
-        if order:
-            computed = self._compute(
-                self.options,
-                [rows_a[i] for _, i in order],
-                [rows_b[i] for _, i in order],
-            )
-            # A short compute used to be masked here: zip dropped the
-            # trailing misses and the leftover None slots were filtered
-            # out of the return, yielding an image with fewer rows than
-            # its inputs.  Validate the count and raise instead.
-            _check_computed(len(computed), len(order))
-            for (key, i), result in zip(order, computed):
-                self.cache.put(key, rows_a[i], rows_b[i], result)
-                for j in waiters[key]:
-                    served[j] = result
-        self._batcher.record_outcomes(
-            hit=hits, computed=len(order), coalesced=coalesced
-        )
-        unfilled = [i for i, r in enumerate(served) if r is None]
-        if unfilled:
-            raise ServiceError(
-                f"bulk serve left {len(unfilled)} of {len(served)} rows "
-                f"unserved (first unfilled index {unfilled[0]}); refusing "
-                f"to return a short image"
-            )
-        return [r for r in served if r is not None]
+        with self._lifecycle.track("diff_rows", request_id, len(rows_a)):
+            if len(rows_a) != len(rows_b):
+                raise GeometryError(
+                    f"row sequences differ in length: {len(rows_a)} vs {len(rows_b)}"
+                )
+            return self._batcher.serve(rows_a, rows_b, self.cache)
 
     # ------------------------------------------------------------------ #
     # Introspection / lifecycle                                          #

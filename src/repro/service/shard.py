@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from hashlib import blake2b
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError, ServiceError
 from repro.rle.row import RLERow
@@ -81,8 +81,7 @@ DEFAULT_REPLICAS = 64
 #: each worker owns a private registry.  ``cache_dir``/``disk_budget``
 #: ride along so each worker can open its own persistent tier (the
 #: front-end partitions the directory per worker — see
-#: :class:`repro.service.frontend.ShardedDiffService`); a 5-tuple from
-#: a pre-1.2 peer decodes with both unset.
+#: :class:`repro.service.frontend.ShardedDiffService`).
 OptionsWire = Tuple[
     str, Optional[int], bool, bool, bool, Optional[str], Optional[int]
 ]
@@ -214,24 +213,11 @@ def encode_options(options: DiffOptions) -> OptionsWire:
 
 
 def decode_options(wire: OptionsWire) -> DiffOptions:
-    if len(wire) == 5:  # pre-1.2 peer: no persistent-cache fields
-        engine, n_cells, canonical, paranoid, record_trace = wire  # type: ignore[misc]
-        cache_dir: Optional[str] = None
-        disk_budget: Optional[int] = None
-    else:
-        (
-            engine,
-            n_cells,
-            canonical,
-            paranoid,
-            record_trace,
-            cache_dir,
-            disk_budget,
-        ) = wire
+    engine, n_cells, canonical, paranoid, record_trace, cache_dir, disk_budget = wire
     return DiffOptions(
         # The wire carries the engine as a plain string; re-validate it
-        # into the EngineName literal on the way back in (a skewed or
-        # corrupted peer fails typed here rather than deep in dispatch).
+        # into the EngineName literal on the way back in (a corrupted
+        # wire fails typed here rather than deep in dispatch).
         engine=validate_engine(engine),
         n_cells=n_cells,
         canonical=canonical,
@@ -343,8 +329,8 @@ def worker_main(
 
     ``("diff_rows", seq, (rows_a, rows_b, ctx))``
         Rows in :data:`RowWire` form plus the request's
-        :data:`~repro.obs.context.ContextWire` (``None`` from a
-        pre-context peer).  The reply payload is ``(results, spans,
+        :data:`~repro.obs.context.ContextWire`.  The reply payload is
+        ``(results, spans,
         events)``: a tuple of :data:`ResultWire`, the worker's measured
         :data:`SpanWire` spans for this request (empty when the context
         is unsampled, capped at :data:`MAX_SPANS_PER_REPLY`), and up to
@@ -407,6 +393,40 @@ def worker_main(
         options, policy=policy, cache_bytes=cache_bytes, log=log
     )
     streams = StreamingDiffService(service, metrics=registry, log=log)
+
+    def traced_reply(
+        span_name: str,
+        ctx_wire: Any,
+        serve: Callable[[str], Any],
+        encode: Callable[[Any], Any],
+        **attributes: object,
+    ) -> Any:
+        """``serve(request_id)`` under a worker span, then the
+        ``(payload, spans, events)`` reply every traced op returns."""
+        ctx = decode_context(ctx_wire)
+        try:
+            with tracer.span(
+                span_name, request_id=ctx.request_id, worker=worker_id, **attributes
+            ):
+                result = serve(ctx.request_id)
+        except BaseException:
+            # the typed error crosses as ErrorWire below; the failure's
+            # spans are dropped (nothing to stitch) and its log events
+            # ride the next ok reply
+            del tracer.spans[:]
+            raise
+        finished = tracer.spans[:MAX_SPANS_PER_REPLY]
+        del tracer.spans[:]
+        spans_wire = (
+            tuple(encode_span(s.name, s.duration, s.attributes) for s in finished)
+            if ctx.sampled
+            else ()
+        )
+        events_wire = tuple(
+            encode_event(r) for r in log.drain(MAX_EVENTS_PER_REPLY)
+        )
+        return (encode(result), spans_wire, events_wire)
+
     try:
         while True:
             try:
@@ -421,51 +441,17 @@ def worker_main(
                 break
             try:
                 if kind == "diff_rows":
-                    if len(payload) == 3:
-                        rows_a_wire, rows_b_wire, ctx_wire = payload
-                    else:  # pre-context peer: rows only
-                        rows_a_wire, rows_b_wire = payload
-                        ctx_wire = None
-                    ctx = decode_context(ctx_wire) if ctx_wire is not None else None
-                    request_id = ctx.request_id if ctx is not None else None
-                    sampled = ctx.sampled if ctx is not None else True
-                    try:
-                        with tracer.span(
-                            "shard_diff_rows",
+                    rows_a_wire, rows_b_wire, ctx_wire = payload
+                    reply: Any = traced_reply(
+                        "shard_diff_rows",
+                        ctx_wire,
+                        lambda request_id: service.diff_rows(
+                            [decode_row(w) for w in rows_a_wire],
+                            [decode_row(w) for w in rows_b_wire],
                             request_id=request_id,
-                            worker=worker_id,
-                            rows=len(rows_a_wire),
-                        ):
-                            results = service.diff_rows(
-                                [decode_row(w) for w in rows_a_wire],
-                                [decode_row(w) for w in rows_b_wire],
-                                request_id=request_id,
-                            )
-                    except BaseException:
-                        # the typed error crosses as ErrorWire below; the
-                        # failure's spans are dropped (nothing to stitch)
-                        # and its log events ride the next ok reply
-                        del tracer.spans[:]
-                        raise
-                    # request_admitted/request_completed land in `log`
-                    # from the resilience layer's _observe_request
-                    finished = tracer.spans[:MAX_SPANS_PER_REPLY]
-                    del tracer.spans[:]
-                    spans_wire = (
-                        tuple(
-                            encode_span(s.name, s.duration, s.attributes)
-                            for s in finished
-                        )
-                        if sampled
-                        else ()
-                    )
-                    events_wire = tuple(
-                        encode_event(r) for r in log.drain(MAX_EVENTS_PER_REPLY)
-                    )
-                    reply: Any = (
-                        tuple(encode_result(r) for r in results),
-                        spans_wire,
-                        events_wire,
+                        ),
+                        lambda results: tuple(encode_result(r) for r in results),
+                        rows=len(rows_a_wire),
                     )
                 elif kind == "stream_open":
                     session_id, policy_wire = payload
@@ -479,38 +465,15 @@ def worker_main(
                     )
                 elif kind == "stream_frame":
                     session_id, image_wire, ctx_wire = payload
-                    ctx = decode_context(ctx_wire) if ctx_wire is not None else None
-                    request_id = ctx.request_id if ctx is not None else None
-                    sampled = ctx.sampled if ctx is not None else True
-                    try:
-                        with tracer.span(
-                            "shard_stream_frame",
-                            request_id=request_id,
-                            session_id=session_id,
-                            worker=worker_id,
-                        ):
-                            delta = streams.append_frame(
-                                session_id,
-                                decode_image(image_wire),
-                                request_id=request_id,
-                            )
-                    except BaseException:
-                        del tracer.spans[:]
-                        raise
-                    finished = tracer.spans[:MAX_SPANS_PER_REPLY]
-                    del tracer.spans[:]
-                    spans_wire = (
-                        tuple(
-                            encode_span(s.name, s.duration, s.attributes)
-                            for s in finished
-                        )
-                        if sampled
-                        else ()
+                    reply = traced_reply(
+                        "shard_stream_frame",
+                        ctx_wire,
+                        lambda request_id: streams.append_frame(
+                            session_id, decode_image(image_wire), request_id=request_id
+                        ),
+                        encode_frame_delta,
+                        session_id=session_id,
                     )
-                    events_wire = tuple(
-                        encode_event(r) for r in log.drain(MAX_EVENTS_PER_REPLY)
-                    )
-                    reply = (encode_frame_delta(delta), spans_wire, events_wire)
                 elif kind == "stream_close":
                     reply = streams.close_session(payload)
                 elif kind == "stream_stats":

@@ -79,8 +79,8 @@ __all__ = [
 ]
 
 #: The diff backends a streaming service can sit on.  Both expose
-#: ``diff_images``; the resilient one additionally threads the request
-#: id into its structured-log events.
+#: ``diff_images(..., request_id=)`` and stamp the id on their
+#: structured-log events.
 DiffBackend = Union[DiffService, ResilientDiffService]
 
 
@@ -295,7 +295,6 @@ class StreamingDiffService:
         log: "Optional[StructuredLog]" = None,
     ) -> None:
         self._backend = backend
-        self._resilient = isinstance(backend, ResilientDiffService)
         self.policy = policy if policy is not None else StreamPolicy()
         self._log = log
         self._lock = threading.Lock()
@@ -453,13 +452,7 @@ class StreamingDiffService:
                 raise GeometryError(
                     f"frame shape {frame.shape} != session shape {tail.shape}"
                 )
-            if self._resilient:
-                assert isinstance(self._backend, ResilientDiffService)
-                diff = self._backend.diff_images(
-                    tail, frame, request_id=request_id
-                )
-            else:
-                diff = self._backend.diff_images(tail, frame)
+            diff = self._backend.diff_images(tail, frame, request_id=request_id)
             result = session.append_delta(frame, diff.image)
         if self._metrics is not None:
             self._m_frames.inc()

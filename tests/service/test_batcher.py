@@ -1,5 +1,6 @@
 """RowDiffBatcher: coalescing, backpressure, lifecycle, error paths."""
 
+import sys
 import threading
 
 import pytest
@@ -11,6 +12,7 @@ from repro.core.machine import default_cell_count
 from repro.core.options import DiffOptions
 from repro.service.batcher import RowDiffBatcher, compute_row_diffs
 from repro.service.cache import DiffCache
+from repro.service.service import DiffService
 
 BATCHED = DiffOptions(engine="batched")
 
@@ -239,48 +241,59 @@ class TestBackpressureAndLifecycle:
 
 
 class TestCounterIntegrity:
-    """``requests``/``batches`` are bumped from the worker thread (queued
-    path) and from caller threads (``record_outcomes``, the bulk path);
-    the totals must be exact under concurrency — lost ``+=`` increments
-    were a real bug."""
+    """``requests``/``batches`` are bumped by ``RowDiffBatcher.serve``
+    from the worker thread (queued path) and from caller threads
+    (``DiffService.diff_rows``, the bulk path); the totals must be exact
+    under concurrency — lost ``+=`` increments were a real bug."""
 
-    def test_record_outcomes_lossless_under_threads(self):
-        n_threads, per_thread = 8, 400
-        with RowDiffBatcher(BATCHED, max_latency=0.0) as batcher:
-            def hammer() -> None:
-                for i in range(per_thread):
-                    if i % 2:
-                        batcher.record_outcomes(hit=1)
-                    else:
-                        batcher.record_outcomes(computed=1)
+    def test_bulk_serving_lossless_under_threads(self):
+        n_threads, per_thread = 8, 150
+        a, b = make_row(1), make_row(5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # no cache: every single-pair request is one computed batch
+            with DiffService(BATCHED, cache_bytes=0, max_latency=0.0) as service:
+                def hammer() -> None:
+                    for _ in range(per_thread):
+                        service.diff_rows([a], [b])
 
-            threads = [threading.Thread(target=hammer) for _ in range(n_threads)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        assert batcher.requests == n_threads * per_thread
-        assert batcher.batches == n_threads * per_thread // 2
+                threads = [threading.Thread(target=hammer) for _ in range(n_threads)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                stats = service.stats()
+        finally:
+            sys.setswitchinterval(interval)
+        assert stats["requests"] == n_threads * per_thread
+        assert stats["batches"] == n_threads * per_thread
 
     def test_bulk_recording_races_queued_serving(self):
-        # the actual production interleaving: caller threads folding in
-        # bulk outcomes while the worker thread serves queued requests
+        # the actual production interleaving: caller threads serving
+        # bulk requests while the worker thread serves queued ones
         n_threads, per_thread, queued = 4, 300, 40
-        with RowDiffBatcher(BATCHED, max_latency=0.0) as batcher:
+        a, b = make_row(1), make_row(5)
+        with DiffService(BATCHED, max_latency=0.0) as service:
+            service.diff_rows([a], [b])  # warm: the bulk calls below hit
+
             def record() -> None:
                 for _ in range(per_thread):
-                    batcher.record_outcomes(hit=1)
+                    service.diff_rows([a], [b])
 
             threads = [threading.Thread(target=record) for _ in range(n_threads)]
             for t in threads:
                 t.start()
             futures = [
-                batcher.submit(make_row(i % 16), make_row((i + 3) % 16))
+                service.submit_row_diff(make_row(i % 16), make_row((i + 3) % 16))
                 for i in range(queued)
             ]
             for t in threads:
-                t.join()
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
             for f in futures:
                 f.result(timeout=10)
-        assert batcher.requests == n_threads * per_thread + queued
-        assert batcher.batches >= 1
+            stats = service.stats()
+        assert stats["requests"] == 1 + n_threads * per_thread + queued
+        assert stats["batches"] >= 2

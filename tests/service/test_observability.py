@@ -18,10 +18,12 @@ failure mode the serving tier documents:
 import pytest
 
 from repro.errors import (
+    DeadlineExceededError,
     ReproError,
     ServiceError,
     ServiceOverloadError,
 )
+from repro.rle.image import RLEImage
 from repro.rle.row import RLERow
 from repro.core.options import DiffOptions
 from repro.obs.context import RequestContext
@@ -306,6 +308,91 @@ class TestRetryEvents:
         log.write_jsonl(path)
         checked = validate_log_lines(path.read_text(encoding="utf-8"))
         assert checked == len(log.records()) > 0
+
+
+# --------------------------------------------------------------------- #
+# Request-lifecycle records: one pair per tier, one field set            #
+# --------------------------------------------------------------------- #
+LIFECYCLE_EVENTS = (
+    "request_admitted",
+    "request_completed",
+    "request_shed",
+    "deadline_expired",
+)
+TERMINAL_FIELDS = {"op", "tier", "seconds", "slo_breach"}
+
+
+def lifecycle(records):
+    """``(event, op, tier)`` of every request-lifecycle record."""
+    return [
+        (r["event"], r["fields"]["op"], r["fields"]["tier"])
+        for r in records
+        if r["event"] in LIFECYCLE_EVENTS
+    ]
+
+
+class TestLifecycleRecords:
+    @pytest.mark.parametrize("entry", ["diff_rows", "diff_images"])
+    @pytest.mark.parametrize("tier", ["base", "service", "frontend"])
+    def test_each_tier_accounts_the_called_entry_once(self, tier, entry):
+        rows_a, rows_b = make_row_pairs(n=4)
+        log = StructuredLog()
+        if tier == "frontend":
+            svc = ShardedDiffService(BATCHED, workers=1)
+            log = svc.log
+        elif tier == "service":
+            svc = ResilientDiffService(BATCHED, log=log, **FAST)
+        else:
+            svc = DiffService(BATCHED, log=log, **FAST)
+        with svc:
+            if entry == "diff_rows":
+                svc.diff_rows(rows_a, rows_b)
+            else:
+                svc.diff_images(
+                    RLEImage(rows_a, width=64), RLEImage(rows_b, width=64)
+                )
+        records = log.records()
+        expected = [
+            ("request_admitted", entry, tier),
+            ("request_completed", entry, tier),
+        ]
+        if tier == "frontend":
+            # the worker's resilient tier serves the routed slice, which
+            # is a diff_rows request whatever the front-end entry was
+            expected[1:1] = [
+                ("request_admitted", "diff_rows", "service"),
+                ("request_completed", "diff_rows", "service"),
+            ]
+        assert lifecycle(records) == expected
+        for record in records:
+            if record["event"] == "request_admitted":
+                assert set(record["fields"]) == {"op", "tier", "units"}
+                assert record["fields"]["units"] == 4
+            elif record["event"] == "request_completed":
+                assert set(record["fields"]) == TERMINAL_FIELDS | {"ok"}
+
+    @pytest.mark.parametrize(
+        "error, event",
+        [
+            (ServiceOverloadError, "request_shed"),
+            (DeadlineExceededError, "deadline_expired"),
+        ],
+    )
+    def test_base_tier_sheds_and_expires_like_the_others(self, error, event):
+        def failing(options, rows_a, rows_b):
+            raise error("injected")
+
+        log = StructuredLog()
+        with DiffService(BATCHED, compute=failing, log=log, **FAST) as svc:
+            with pytest.raises(error):
+                svc.diff_rows([ROW_A], [ROW_B], request_id="feedface00000002")
+        records = log.records()
+        assert lifecycle(records) == [
+            ("request_admitted", "diff_rows", "base"),
+            (event, "diff_rows", "base"),
+        ]
+        assert records[-1]["request_id"] == "feedface00000002"
+        assert set(records[-1]["fields"]) == TERMINAL_FIELDS
 
 
 # --------------------------------------------------------------------- #

@@ -309,6 +309,28 @@ class TestObservability:
             if record["event"].startswith("stream_"):
                 assert record["request_id"] == sid
 
+    @pytest.mark.parametrize("backend_cls", [DiffService, ResilientDiffService])
+    def test_frame_request_id_reaches_either_backend(self, backend_cls, clip):
+        log = StructuredLog()
+        with backend_cls(OPTS, log=log, **FAST) as service:
+            streams = StreamingDiffService(service)
+            sid = streams.open()
+            for t, frame in enumerate(clip[:3]):
+                streams.append_frame(sid, frame, request_id=f"frame{t:011d}")
+        lifecycle = [
+            r
+            for r in log.records()
+            if r["event"] in ("request_admitted", "request_completed")
+        ]
+        # frame 0 opens the key (no backend call); frames 1 and 2 diff
+        assert [r["request_id"] for r in lifecycle] == [
+            "frame00000000001",
+            "frame00000000001",
+            "frame00000000002",
+            "frame00000000002",
+        ]
+        assert {r["fields"]["op"] for r in lifecycle} == {"diff_images"}
+
 
 class TestUnderFaults:
     def test_breaker_open_sheds_stream_frame(self, clip):

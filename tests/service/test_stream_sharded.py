@@ -28,6 +28,7 @@ from repro.service import (
     ShardedDiffService,
     ShardRing,
 )
+from repro.service.frontend import MAX_REQUEST_LINE
 from repro.workloads.motion import generate_sequence
 
 BATCHED = DiffOptions(engine="batched")
@@ -287,3 +288,73 @@ class TestWireProtocolVersioning:
 
     def test_protocol_error_is_catchable_as_service_error(self):
         assert issubclass(ProtocolError, ServiceError)
+
+
+class TestUnreadableLines:
+    """Lines the server cannot turn into a request — longer than
+    ``MAX_REQUEST_LINE``, invalid UTF-8, or JSON nested past the parser's
+    recursion limit — each get exactly one typed ``ProtocolError`` reply,
+    and the connection keeps serving (the ``ping`` sent after each)."""
+
+    PING = json.dumps({"op": "ping", "id": "after"}).encode()
+
+    @pytest.fixture()
+    def server(self, sharded):
+        with ServerThread(sharded) as srv:
+            yield srv
+
+    @staticmethod
+    def exchange(server, lines):
+        """Send each line on one connection, reading one reply per line."""
+        with socket.create_connection(
+            (server.host, server.port), timeout=60.0
+        ) as sock:
+            reader = sock.makefile("rb")
+            replies = []
+            for line in lines:
+                sock.sendall(line + b"\n")
+                replies.append(json.loads(reader.readline()))
+            return replies
+
+    def assert_still_serving(self, reply):
+        assert reply["ok"] is True
+        assert reply["id"] == "after"
+
+    @staticmethod
+    def padded_ping(length):
+        request = json.dumps({"op": "ping", "id": "padded"}).encode()
+        return request + b" " * (length - len(request))
+
+    def test_line_at_the_limit_is_served(self, server):
+        at_limit, after = self.exchange(
+            server, [self.padded_ping(MAX_REQUEST_LINE), self.PING]
+        )
+        assert at_limit["ok"] is True
+        assert at_limit["id"] == "padded"
+        self.assert_still_serving(after)
+
+    def test_line_one_byte_over_is_rejected_once_and_discarded(self, server):
+        over, after = self.exchange(
+            server, [self.padded_ping(MAX_REQUEST_LINE + 1), self.PING]
+        )
+        assert over["ok"] is False
+        assert over["error"] == "ProtocolError"
+        assert str(MAX_REQUEST_LINE) in over["message"]
+        assert over["v"] == PROTOCOL_VERSION
+        self.assert_still_serving(after)
+
+    def test_invalid_utf8_rejected(self, server):
+        bad, after = self.exchange(
+            server, [b'{"op": "ping", "id": "\xff\xfe"}', self.PING]
+        )
+        assert bad["error"] == "ProtocolError"
+        assert bad["v"] == PROTOCOL_VERSION
+        self.assert_still_serving(after)
+
+    def test_deep_nesting_rejected(self, server):
+        deep, after = self.exchange(
+            server, [b"[" * 1000 + b"]" * 1000, self.PING]
+        )
+        assert deep["error"] == "ProtocolError"
+        assert deep["v"] == PROTOCOL_VERSION
+        self.assert_still_serving(after)
