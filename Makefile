@@ -8,6 +8,7 @@ MYPY_STRICT_FILES = \
 	src/repro/rle/run.py \
 	src/repro/rle/row.py \
 	src/repro/core/api.py \
+	src/repro/core/native.py \
 	src/repro/core/options.py \
 	src/repro/service/cache.py \
 	src/repro/service/batcher.py \

@@ -547,7 +547,9 @@ def _cmd_bench_engines(
     rows: int, width: int, error_fraction: float, seed: int, engines: str
 ) -> int:
     import time
+    from contextlib import nullcontext
 
+    from repro.core import native
     from repro.core.options import ENGINE_NAMES, DiffOptions
     from repro.core.pipeline import diff_images
     from repro.rle.image import RLEImage
@@ -567,6 +569,7 @@ def _cmd_bench_engines(
         f"image: {rows} rows x {width} px, density 0.30, "
         f"{error_fraction:.0%} differing pixels, seed {seed}"
     )
+    print(f"step kernel: {native.LOADER.describe()}")
 
     names = [name.strip() for name in engines.split(",") if name.strip()]
     bad = [name for name in names if name not in ENGINE_NAMES]
@@ -578,21 +581,27 @@ def _cmd_bench_engines(
         return 2
     baseline = diff_images(image_a, image_b, options=DiffOptions(engine="sequential"))
     baseline_pixels = [r.to_pairs() for r in baseline.image]
+    # with the native step loaded, batched/numpy times the fallback too
+    runs = [(name, name) for name in names]
+    if "batched" in names and native.LOADER.kernel() is not None:
+        runs.append(("batched/numpy", "batched"))
     timings = []
     diverged = False
-    for name in names:
-        t0 = time.perf_counter()
-        result = diff_images(image_a, image_b, options=DiffOptions(engine=name))
-        elapsed = time.perf_counter() - t0
+    for label, name in runs:
+        fallback = label == "batched/numpy"
+        with native.LOADER.withheld() if fallback else nullcontext():
+            t0 = time.perf_counter()
+            result = diff_images(image_a, image_b, options=DiffOptions(engine=name))
+            elapsed = time.perf_counter() - t0
         ok = [r.to_pairs() for r in result.image] == baseline_pixels
         diverged |= not ok
-        timings.append((name, elapsed, result.total_iterations, ok))
+        timings.append((label, elapsed, result.total_iterations, ok))
     ref_time = timings[0][1]
-    print(f"{'engine':<12} {'seconds':>9} {'speedup':>8} {'total_iters':>12} match")
-    for name, elapsed, total_iters, ok in timings:
+    print(f"{'engine':<14} {'seconds':>9} {'speedup':>8} {'total_iters':>12} match")
+    for label, elapsed, total_iters, ok in timings:
         speedup = ref_time / elapsed if elapsed else float("inf")
         print(
-            f"{name:<12} {elapsed:>9.4f} {speedup:>7.2f}x {total_iters:>12} "
+            f"{label:<14} {elapsed:>9.4f} {speedup:>7.2f}x {total_iters:>12} "
             f"{'ok' if ok else 'DIVERGED'}"
         )
     if diverged:

@@ -55,6 +55,19 @@ The equivalence tests compare per-iteration snapshots of every lane
 against :class:`~repro.core.machine.SystolicXorMachine` and
 :class:`~repro.core.vectorized.VectorizedXorEngine`; only the Python
 loops over rows and cells are gone, the state evolution is identical.
+
+The step kernel
+---------------
+The iteration body — normalize, in-cell XOR, shift, the per-lane
+counters and the next window — also exists as one C function,
+``batched_step.c``, which :mod:`repro.core.native` compiles, caches and
+loads on the first step of a process.  :meth:`BatchedXorEngine.step`
+runs it whenever it loaded and the NumPy body (:meth:`_numpy_step`)
+otherwise; the NumPy body is also the reference the tests step the
+kernel against, state by state.  The bound check, tracer and probe
+hooks stay in Python, one call per iteration either way; a traced
+``row_batch`` span records which kernel ran (``kernel="native"`` or
+``"numpy"``).
 """
 
 from __future__ import annotations
@@ -66,6 +79,7 @@ import numpy as np
 from repro.errors import CapacityError, GeometryError, SystolicError
 from repro.rle.row import RLERow
 from repro.rle.run import Run
+from repro.core import native
 from repro.core.machine import XorRunResult, default_cell_count
 from repro.core.xor_cell import CellSnapshot
 from repro.systolic.stats import ActivityStats
@@ -135,6 +149,7 @@ class BatchedXorEngine:
         self._lo = 0
         self._hi = 0
         self._step_count = 0
+        self._bound: Optional[native.BoundStep] = None
 
     # ------------------------------------------------------------------ #
     # Load / extract                                                     #
@@ -200,6 +215,7 @@ class BatchedXorEngine:
         self._lo = 0
         self._hi = int(self.k2.max()) if n_rows and self.active.any() else 0
         self._step_count = 0
+        self._bound = None
 
     @staticmethod
     def _bulk_load(starts: np.ndarray, ends: np.ndarray, rows: Sequence[RLERow]) -> None:
@@ -274,7 +290,12 @@ class BatchedXorEngine:
         return not self.active.any()
 
     def step(self) -> None:
-        """One iteration of steps 1–3 over every *active* lane."""
+        """One iteration of steps 1–3 over every *active* lane.
+
+        The iteration body runs in the native kernel when
+        :data:`repro.core.native.LOADER` has one, else in NumPy
+        (:meth:`_numpy_step`, the reference); both reach the same state.
+        """
         if self.is_done:
             return
         active = self.active
@@ -285,7 +306,47 @@ class BatchedXorEngine:
                 f"lane {lane}: no termination after {int(self.iterations[lane])} "
                 f"iterations (bound {int(self.k1[lane] + self.k2[lane])})"
             )
+        kernel = native.LOADER.kernel()
+        if kernel is None:
+            self._numpy_step()
+        else:
+            self._native_step(kernel)
+        if self.probe is not None:
+            self._sample_probe()
 
+    def _native_step(self, kernel: native.StepKernel) -> None:
+        """One iteration in the native kernel, bound to this batch's
+        arrays on its first native step (again if a NumPy step has
+        replaced the ``active`` mask since)."""
+        bound = self._bound
+        if bound is None or bound.active is not self.active:
+            stats = (
+                (self._stat_rows, self._frozen_busy, self._small_prefix)
+                if self.collect_stats
+                else None
+            )
+            bound = self._bound = kernel.bind(
+                (self.ss, self.se, self.bs, self.be),
+                self.active,
+                self.iterations,
+                stats,
+            )
+        step_count = self._step_count + 1
+        lane = bound(self._lo, self._hi, step_count)
+        if lane >= 0:
+            raise self._capacity_error(lane, bound.datum)
+        self._step_count = step_count
+        self._lo, self._hi = bound.window
+
+    def _capacity_error(self, lane: int, datum: Tuple[int, int]) -> CapacityError:
+        return CapacityError(
+            f"lane {lane}: datum {datum} shifted past the last cell "
+            f"(batch of {self.batch_cells} cells is too small)"
+        )
+
+    def _numpy_step(self) -> None:
+        """One iteration in NumPy: the fallback and the reference."""
+        active = self.active
         n = self.batch_cells
         lo, hi = self._lo, self._hi
         ss = self.ss[:, lo:hi]
@@ -347,11 +408,7 @@ class BatchedXorEngine:
         # --- step 3: shift RegBig right ------------------------------ #
         if hi == n and has_b.shape[1] and has_b[:, -1].any():
             lane = int(np.flatnonzero(has_b[:, -1])[0])
-            datum = (int(bs[lane, -1]), int(be[lane, -1]))
-            raise CapacityError(
-                f"lane {lane}: datum {datum} shifted past the last cell "
-                f"(batch of {n} cells is too small)"
-            )
+            raise self._capacity_error(lane, (int(bs[lane, -1]), int(be[lane, -1])))
         if self.collect_stats:
             self._stat_rows[3] += has_b.sum(axis=1)
         lane_alive = has_b.any(axis=1)
@@ -399,9 +456,6 @@ class BatchedXorEngine:
         # iteration count was written above and never advances again
         self.active = active & lane_alive
         self._lo, self._hi = new_lo, new_hi
-
-        if self.probe is not None:
-            self._sample_probe()
 
     def _sample_probe(self) -> None:
         """Feed one iteration's convergence measurements to the probe.
@@ -455,7 +509,10 @@ class BatchedXorEngine:
                 self.step()
             return
         with tracer.span(
-            "row_batch", rows=self.n_rows, cells=self.batch_cells
+            "row_batch",
+            rows=self.n_rows,
+            cells=self.batch_cells,
+            kernel="numpy" if native.LOADER.kernel() is None else "native",
         ) as batch_span:
             while not self.is_done:
                 self._check_bound(max_iterations)

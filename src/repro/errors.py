@@ -65,7 +65,17 @@ class ProtocolError(ServiceError):
     :class:`repro.service.frontend.ShardedServer` so clients can
     distinguish "you spoke the protocol wrong" from service-side
     failures.  See the op-vocabulary table in ``docs/SERVING.md``.
+
+    ``reason`` is the rejection's label on the server's
+    ``repro_protocol_rejects_total`` counter (``line_too_long``,
+    ``invalid_json``, ``nesting_too_deep``, ``not_object``,
+    ``unsupported_version``, ``unknown_op``, ``missing_field``); it
+    does not travel over the wire.
     """
+
+    def __init__(self, message: str = "", reason: str = "unspecified") -> None:
+        super().__init__(message)
+        self.reason = reason
 
 
 class UnknownSessionError(ServiceError):

@@ -869,6 +869,11 @@ class ShardedServer:
         self.host = host
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
+        self._rejects = service.registry.counter(
+            "repro_protocol_rejects_total",
+            "typed ProtocolError replies sent, by reason",
+            ("reason",),
+        )
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(
@@ -908,10 +913,11 @@ class ShardedServer:
                 # UTF-8, invalid or too deeply nested JSON) get their
                 # version stamp here
                 if line is None:
-                    response = _error_response(
+                    response = self._rejected(
                         ProtocolError(
                             f"request line exceeds the {MAX_REQUEST_LINE}-byte "
-                            f"limit (see docs/SERVING.md); the line was discarded"
+                            f"limit (see docs/SERVING.md); the line was discarded",
+                            reason="line_too_long",
                         )
                     )
                     response["v"] = PROTOCOL_VERSION
@@ -919,8 +925,15 @@ class ShardedServer:
                     try:
                         request = json.loads(line)
                     except (ValueError, RecursionError) as exc:
-                        response = _error_response(
-                            ProtocolError(f"request is not valid JSON: {exc}")
+                        response = self._rejected(
+                            ProtocolError(
+                                f"request is not valid JSON: {exc}",
+                                reason=(
+                                    "nesting_too_deep"
+                                    if isinstance(exc, RecursionError)
+                                    else "invalid_json"
+                                ),
+                            )
                         )
                         response["v"] = PROTOCOL_VERSION
                     else:
@@ -936,6 +949,11 @@ class ShardedServer:
             except (ConnectionError, OSError):  # peer already gone
                 pass
 
+    def _rejected(self, exc: ProtocolError) -> Dict[str, Any]:
+        """The reply to a request the protocol rejects, counted by reason."""
+        self._rejects.labels(reason=exc.reason).inc()
+        return _error_response(exc)
+
     def _dispatch(self, request: Any) -> Dict[str, Any]:
         response = self._dispatch_inner(request)
         # every response — errors included — declares the protocol
@@ -950,13 +968,15 @@ class ShardedServer:
         try:
             if not isinstance(request, dict):
                 raise ProtocolError(
-                    f"request must be a JSON object, got {type(request).__name__}"
+                    f"request must be a JSON object, got {type(request).__name__}",
+                    reason="not_object",
                 )
             version = request.get("v", PROTOCOL_VERSION)
             if version != PROTOCOL_VERSION:
                 raise ProtocolError(
                     f"unsupported protocol version {version!r}; this server "
-                    f"speaks v{PROTOCOL_VERSION} (see docs/SERVING.md)"
+                    f"speaks v{PROTOCOL_VERSION} (see docs/SERVING.md)",
+                    reason="unsupported_version",
                 )
             op = request.get("op")
             if op == "ping":
@@ -1024,7 +1044,9 @@ class ShardedServer:
                 session_id = _required_session_id(request)
                 frame_wire = request.get("frame")
                 if frame_wire is None:
-                    raise ProtocolError('stream_frame requires a "frame" field')
+                    raise ProtocolError(
+                        'stream_frame requires a "frame" field', reason="missing_field"
+                    )
                 ctx = RequestContext.new(
                     parent_id=session_id,
                     sample_rate=self.service.trace_sample_rate,
@@ -1055,8 +1077,11 @@ class ShardedServer:
                 }
             raise ProtocolError(
                 f"unknown op {op!r}; see the op-vocabulary table in "
-                f"docs/SERVING.md"
+                f"docs/SERVING.md",
+                reason="unknown_op",
             )
+        except ProtocolError as exc:
+            return self._rejected(exc)
         except ReproError as exc:
             return _error_response(exc)
         except Exception as exc:  # nothing untyped crosses the socket
@@ -1094,7 +1119,8 @@ def _required_session_id(request: Dict[str, Any]) -> str:
     session_id = request.get("session_id")
     if session_id is None:
         raise ProtocolError(
-            f'op {request.get("op")!r} requires a "session_id" field'
+            f'op {request.get("op")!r} requires a "session_id" field',
+            reason="missing_field",
         )
     return str(session_id)
 

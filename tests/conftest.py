@@ -51,8 +51,20 @@ settings.register_profile(
 )
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
+from repro.core import native
 from repro.rle.row import RLERow
 from repro.rle.run import Run
+
+
+# --------------------------------------------------------------------- #
+# Step kernels: engines run the native step whenever it loaded; this     #
+# fixture withholds it, so a test class can run again on the NumPy step  #
+# --------------------------------------------------------------------- #
+@pytest.fixture
+def numpy_step():
+    """Engines take the NumPy step (the loader hands out no kernel)."""
+    with native.LOADER.withheld():
+        yield
 
 # --------------------------------------------------------------------- #
 # The paper's worked example (Figure 1 / Figure 3)                       #

@@ -10,7 +10,7 @@ iteration count and activity counters — and the paper's invariants
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.errors import CapacityError, GeometryError, SystolicError
 from repro.rle.image import RLEImage
@@ -58,6 +58,13 @@ def row_pair_batches(draw, max_rows: int = 12, max_width: int = 80):
     return pairs
 
 
+#: TestEndToEndNumpyStep reruns these properties on the NumPy step; the
+#: subclass is a second executor of the same test by design.
+RERUN_IN_SUBCLASS = settings(
+    max_examples=40, suppress_health_check=[HealthCheck.differing_executors]
+)
+
+
 class TestEndToEnd:
     def test_paper_example(self):
         a = RLERow.from_pairs(PAPER_ROW_1, width=PAPER_WIDTH)
@@ -67,7 +74,7 @@ class TestEndToEnd:
         assert result.iterations == SystolicXorMachine().diff(a, b).iterations
 
     @given(row_pair_batches())
-    @settings(max_examples=40)
+    @RERUN_IN_SUBCLASS
     def test_every_lane_matches_reference(self, pairs):
         results = BatchedXorEngine().diff_rows(
             [a for a, _ in pairs], [b for _, b in pairs]
@@ -80,7 +87,7 @@ class TestEndToEnd:
             assert res.stats.as_dict() == ref.stats.as_dict()
 
     @given(row_pair_batches())
-    @settings(max_examples=40)
+    @RERUN_IN_SUBCLASS
     def test_oracle(self, pairs):
         results = BatchedXorEngine().diff_rows(
             [a for a, _ in pairs], [b for _, b in pairs]
@@ -243,3 +250,25 @@ class TestPipelineDispatch:
             options=DiffOptions(engine="vectorized", canonical=False),
         )
         assert raw.image == serial.image
+
+
+# The classes above run whichever step kernel the loader provides (the
+# native one wherever ``cc`` exists); these run them on the NumPy step.
+@pytest.mark.usefixtures("numpy_step")
+class TestEndToEndNumpyStep(TestEndToEnd):
+    pass
+
+
+@pytest.mark.usefixtures("numpy_step")
+class TestStateByStateNumpyStep(TestStateByState):
+    pass
+
+
+@pytest.mark.usefixtures("numpy_step")
+class TestGuardsNumpyStep(TestGuards):
+    pass
+
+
+@pytest.mark.usefixtures("numpy_step")
+class TestPipelineDispatchNumpyStep(TestPipelineDispatch):
+    pass

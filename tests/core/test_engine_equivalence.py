@@ -137,3 +137,10 @@ class TestAllEnginesAgree:
             ref = machine.diff(a, b)
             assert bat.stats.as_dict() == ref.stats.as_dict()
             assert vec.diff(a, b).stats.as_dict() == ref.stats.as_dict()
+
+
+# TestAllEnginesAgree runs whichever step kernel the loader provides (the
+# native one wherever ``cc`` exists); this runs it on the NumPy step.
+@pytest.mark.usefixtures("numpy_step")
+class TestAllEnginesAgreeNumpyStep(TestAllEnginesAgree):
+    pass

@@ -165,6 +165,23 @@ class TestEngineWiring:
         batch = next(s for s in tracer.spans if s.name == "row_batch")
         assert batch.attributes["iterations"] == result.max_iterations
 
+    def test_row_batch_names_its_step_kernel(self, np_rng):
+        from repro.core import native
+        from repro.core.pipeline import diff_images
+
+        a, b = self._images(np_rng)
+
+        def kernel_attribute():
+            tracer = Tracer()
+            diff_images(a, b, options=DiffOptions(engine="batched", tracer=tracer))
+            batch = next(s for s in tracer.spans if s.name == "row_batch")
+            return batch.attributes["kernel"]
+
+        loaded = "numpy" if native.LOADER.kernel() is None else "native"
+        assert kernel_attribute() == loaded
+        with native.LOADER.withheld():
+            assert kernel_attribute() == "numpy"
+
     def test_row_engine_span_tree(self, np_rng):
         from repro.core.pipeline import diff_images
 

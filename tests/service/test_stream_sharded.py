@@ -358,3 +358,55 @@ class TestUnreadableLines:
         assert deep["error"] == "ProtocolError"
         assert deep["v"] == PROTOCOL_VERSION
         self.assert_still_serving(after)
+
+    REJECTS = "repro_protocol_rejects_total"
+    REASONS = (
+        "line_too_long",
+        "invalid_json",
+        "nesting_too_deep",
+        "not_object",
+        "unsupported_version",
+        "unknown_op",
+        "missing_field",
+    )
+
+    @pytest.mark.parametrize(
+        "reason, line",
+        [
+            ("line_too_long", None),
+            ("invalid_json", b'{"op": "ping", "id": "\xff\xfe"}'),
+            ("invalid_json", b'{"op": "ping"'),
+            ("nesting_too_deep", b"[" * 1000 + b"]" * 1000),
+            ("not_object", b"[1, 2]"),
+            ("unsupported_version", b'{"op": "ping", "v": 99}'),
+            ("unknown_op", b'{"op": "launch"}'),
+            ("missing_field", b'{"op": "stream_close"}'),
+            ("missing_field", b'{"op": "stream_frame", "session_id": "s"}'),
+        ],
+        ids=[
+            "over-limit",
+            "bad-utf8",
+            "truncated-json",
+            "deep-nesting",
+            "array",
+            "version-99",
+            "unknown-op",
+            "no-session-id",
+            "no-frame",
+        ],
+    )
+    def test_each_rejection_counted_once(self, server, sharded, reason, line):
+        if line is None:
+            line = self.padded_ping(MAX_REQUEST_LINE + 1)
+        before = sharded.registry.snapshot()
+        bad, after = self.exchange(server, [line, self.PING])
+        assert bad["error"] == "ProtocolError"
+        assert bad["v"] == PROTOCOL_VERSION
+        self.assert_still_serving(after)
+        now = sharded.registry.snapshot()
+        counted = {
+            label: now.counter_total(self.REJECTS, reason=label)
+            - before.counter_total(self.REJECTS, reason=label)
+            for label in self.REASONS
+        }
+        assert counted == {label: int(label == reason) for label in self.REASONS}
