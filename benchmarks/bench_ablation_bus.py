@@ -15,7 +15,7 @@ from repro.analysis.aggregate import aggregate
 from repro.analysis.experiments import bus_ablation_sweep, bus_ablation_trial
 from repro.analysis.report import format_table, to_csv
 from repro.broadcast.bus_machine import BusXorMachine
-from repro.core.vectorized import VectorizedXorEngine
+from repro.core.batched import BatchedXorEngine
 from repro.systolic.cost import CostModel
 from repro.workloads.suite import get_row_workload
 
@@ -56,7 +56,7 @@ def test_bus_ablation_regenerate(benchmark, ablation_rows, results_dir):
 
     # price both design points on one representative workload
     a, b, _ = get_row_workload("paper-figure5-5pct").make()
-    pure = VectorizedXorEngine().diff(a, b)
+    pure = BatchedXorEngine().diff(a, b)
     bus = BusXorMachine().diff(a, b)
     model = CostModel()
     pure_cost = model.estimate(pure.iterations, pure.n_cells, pure.stats)

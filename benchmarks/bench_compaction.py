@@ -19,7 +19,7 @@ from repro.analysis.aggregate import aggregate
 from repro.analysis.experiments import compaction_sweep, compaction_trial
 from repro.analysis.report import format_table, to_csv
 from repro.broadcast.rmesh import ReconfigurableMesh
-from repro.core.vectorized import VectorizedXorEngine
+from repro.core.batched import BatchedXorEngine
 from repro.workloads.suite import get_row_workload
 
 from conftest import write_artifact, write_json_artifact
@@ -96,9 +96,9 @@ def test_compaction_regenerate(benchmark, compaction_rows, results_dir):
 def test_mesh_merge_matches_row_canonicalization(benchmark):
     """The mesh's merge pass computes exactly RLERow.canonical()."""
     a, b, _ = get_row_workload("paper-table1-2048-pct").make()
-    engine = VectorizedXorEngine(collect_stats=False)
+    engine = BatchedXorEngine(collect_stats=False)
     result = engine.diff(a, b)
-    snaps = engine.snapshot()
+    snaps = engine.snapshot(0)
     slots = [
         (int(s[0]), int(s[1])) if s[1] >= s[0] else None for (s, _big) in snaps
     ]

@@ -1,25 +1,26 @@
-"""A3 — engine throughput: reference cell machine vs. NumPy engines vs.
-software baselines, per row and per image.
+"""A3 — engine throughput: reference cell machine vs. the batched engine
+vs. software baselines, per row and per image.
 
-Not a paper artifact per se, but the measurement that justifies the
-engine defaults: the vectorized engine for single rows (identical
-results, far faster simulation) and the batched engine for whole images
-(every row stepped at once instead of a Python row loop).  The
-sequential merge is the "no special hardware" comparison.  The batched
-engine runs whichever step kernel loaded (the native one wherever ``cc``
-exists); it is timed again on the NumPy step, the fallback, so that
-path's speed stays visible.
+Not a paper artifact per se, but the measurement behind the engine
+defaults: the batched engine runs a single row as a one-lane batch and
+a whole image as one batch (every row stepped at once instead of a
+Python row loop).  The sequential merge is the "no special hardware"
+comparison.  The batched engine runs whichever step kernel loaded (the
+native one wherever ``cc`` exists); it is timed again on the NumPy step,
+the fallback, so that path's speed stays visible.
 
 Outputs: pytest-benchmark's comparison table, plus
 ``results/engines.txt`` with the step kernel that ran, the per-engine
-iteration counts and the measured batched-vs-row-loop speedup on a
-512-row Figure 5 image (asserted ≥5× — the tentpole claim), and
-``results/engines.json`` with the same numbers machine-readable.
+iteration counts and the measured times of a one-lane-per-row loop and
+of the whole-image batch on a 512-row Figure 5 image (recorded, no
+speed floor), and ``results/engines.json`` with the same numbers
+machine-readable.
 
 Smoke mode: ``REPRO_BENCH_SMOKE=1`` shrinks the image workload to a
-tiny configuration and skips the artifact write and the speedup floor,
-keeping only the correctness gate (batched must match the sequential
-baseline) — CI runs this on every push so perf code can't rot silently.
+tiny configuration and skips the timing and the artifact write, keeping
+only the correctness gate (batched must match the sequential baseline
+on every row and the reference machine's iteration counts on a sample)
+— CI runs this on every push so perf code can't rot silently.
 """
 
 import os
@@ -31,7 +32,6 @@ from repro.core import native
 from repro.core.batched import BatchedXorEngine
 from repro.core.machine import SystolicXorMachine
 from repro.core.sequential import sequential_xor
-from repro.core.vectorized import VectorizedXorEngine
 from repro.rle.ops import xor_rows
 from repro.workloads.spec import BaseRowSpec, ErrorSpec
 from repro.workloads.random_rows import generate_row_pair
@@ -48,7 +48,9 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 IMAGE_ROWS = 8 if SMOKE else 512
 IMAGE_WIDTH = 400 if SMOKE else 10_000
 IMAGE_ERROR_FRACTION = 0.05
-SPEEDUP_FLOOR = 5.0
+#: Rows whose iteration counts are checked against the reference cell
+#: machine — a fixed sample, since that machine is slow at full width.
+REFERENCE_ROWS = range(0, IMAGE_ROWS, IMAGE_ROWS // 8)
 
 
 @pytest.fixture(scope="module")
@@ -79,9 +81,9 @@ def test_bench_reference_machine(benchmark, rows):
     assert result.result.same_pixels(xor_rows(a, b))
 
 
-def test_bench_vectorized_engine(benchmark, rows):
+def test_bench_batched_engine_one_lane(benchmark, rows):
     a, b = rows
-    engine = VectorizedXorEngine(collect_stats=False)
+    engine = BatchedXorEngine(collect_stats=False)
     result = benchmark(lambda: engine.diff(a, b))
     assert result.result.same_pixels(xor_rows(a, b))
 
@@ -98,11 +100,11 @@ def test_bench_rle_xor_op(benchmark, rows):
 
 
 # --------------------------------------------------------------------- #
-# Whole image — the batched engine vs. the row loop                      #
+# Whole image — one batch vs. a loop of one-lane batches                #
 # --------------------------------------------------------------------- #
-def test_bench_image_row_loop_vectorized(benchmark, image_rows):
+def test_bench_image_row_loop_one_lane(benchmark, image_rows):
     rows_a, rows_b = image_rows
-    engine = VectorizedXorEngine(collect_stats=False)
+    engine = BatchedXorEngine(collect_stats=False)
     benchmark.pedantic(
         lambda: [engine.diff(a, b) for a, b in zip(rows_a, rows_b)],
         rounds=1 if SMOKE else 3,
@@ -140,25 +142,29 @@ def _best_of(fn, rounds):
     return best
 
 
-def test_batched_image_speedup_and_equivalence(image_rows, results_dir):
-    """The tentpole gate: the batched engine must match the sequential
-    baseline on every row of the image, and (outside smoke mode) beat
-    the per-row vectorized loop by ≥5× on the 512-row Figure 5 image."""
+def test_batched_image_equivalence_and_timing(image_rows, results_dir):
+    """The engine gate: the whole-image batch must match the sequential
+    baseline on every row and the reference machine's iteration counts
+    on :data:`REFERENCE_ROWS`; outside smoke mode it then times the
+    batch against a loop of one-lane batches (recorded, no floor)."""
     rows_a, rows_b = image_rows
 
     batched = BatchedXorEngine(collect_stats=False).diff_rows(rows_a, rows_b)
-    loop_engine = VectorizedXorEngine(collect_stats=False)
-    for (a, b), res in zip(zip(rows_a, rows_b), batched):
+    for a, b, res in zip(rows_a, rows_b, batched):
         seq = sequential_xor(a, b)
         assert res.result.same_pixels(seq.result), "batched diverged from sequential"
-        assert res.iterations == loop_engine.diff(a, b).iterations
+    machine = SystolicXorMachine()
+    for i in REFERENCE_ROWS:
+        ref = machine.diff(rows_a[i], rows_b[i])
+        assert batched[i].iterations == ref.iterations, f"row {i}"
 
     if SMOKE:
         return
 
     rounds = 3
+    lane_engine = BatchedXorEngine(collect_stats=False)
     loop_s = _best_of(
-        lambda: [loop_engine.diff(a, b) for a, b in zip(rows_a, rows_b)], rounds
+        lambda: [lane_engine.diff(a, b) for a, b in zip(rows_a, rows_b)], rounds
     )
     batch_engine = BatchedXorEngine(collect_stats=False)
     batch_s = _best_of(lambda: batch_engine.diff_rows(rows_a, rows_b), rounds)
@@ -167,7 +173,7 @@ def test_batched_image_speedup_and_equivalence(image_rows, results_dir):
     kernel = native.LOADER.describe()
     speedup = loop_s / batch_s
 
-    ref = SystolicXorMachine().diff(rows_a[0], rows_b[0])
+    ref = machine.diff(rows_a[0], rows_b[0])
     seq = sequential_xor(rows_a[0], rows_b[0])
     write_artifact(
         results_dir,
@@ -182,10 +188,10 @@ def test_batched_image_speedup_and_equivalence(image_rows, results_dir):
                 f"image workload: {IMAGE_ROWS} rows x {IMAGE_WIDTH} px, "
                 f"30% density, {IMAGE_ERROR_FRACTION:.0%} differing pixels",
                 f"step kernel: {kernel}",
-                f"row-loop vectorized: {loop_s:.3f} s",
+                f"row loop, one lane per row: {loop_s:.3f} s",
                 f"batched whole-image: {batch_s:.3f} s",
                 f"batched whole-image, NumPy step: {numpy_step_s:.3f} s",
-                f"speedup: {speedup:.1f}x (floor {SPEEDUP_FLOOR:.0f}x)",
+                f"whole-image batch vs row loop: {speedup:.1f}x",
             ]
         ),
     )
@@ -208,29 +214,21 @@ def test_batched_image_speedup_and_equivalence(image_rows, results_dir):
                 "error_fraction": IMAGE_ERROR_FRACTION,
             },
             "step_kernel": kernel,
-            "row_loop_vectorized_s": loop_s,
+            "row_loop_one_lane_s": loop_s,
             "batched_whole_image_s": batch_s,
             "batched_numpy_step_s": numpy_step_s,
             "speedup": speedup,
-            "speedup_floor": SPEEDUP_FLOOR,
         },
-    )
-    assert speedup >= SPEEDUP_FLOOR, (
-        f"batched engine only {speedup:.2f}x over the row loop "
-        f"(floor {SPEEDUP_FLOOR}x): loop {loop_s:.3f}s vs batch {batch_s:.3f}s"
     )
 
 
 def test_engines_agree(benchmark, rows):
     a, b = rows
     ref = SystolicXorMachine().diff(a, b)
-    vec = benchmark.pedantic(
-        lambda: VectorizedXorEngine().diff(a, b), rounds=5, iterations=1
+    bat = benchmark.pedantic(
+        lambda: BatchedXorEngine().diff(a, b), rounds=5, iterations=1
     )
-    bat = BatchedXorEngine().diff(a, b)
     seq = sequential_xor(a, b)
-    assert vec.result == ref.result
-    assert vec.iterations == ref.iterations
     assert bat.result == ref.result
     assert bat.iterations == ref.iterations
     assert seq.result.same_pixels(ref.result)

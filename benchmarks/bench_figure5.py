@@ -16,7 +16,6 @@ from repro.analysis.aggregate import aggregate
 from repro.analysis.asciiplot import ascii_plot
 from repro.analysis.experiments import (
     PAPER_FIGURE5_FRACTIONS,
-    figure5_batched_sweep,
     figure5_sweep,
     figure5_trial,
 )
@@ -116,22 +115,3 @@ def test_figure5_regenerate(benchmark, figure5_rows, results_dir):
     # and Theorem 1 holds at every point
     for r in figure5_rows:
         assert r["iterations"] <= r["theorem1_bound"]
-
-
-def test_figure5_batched_sweep_identical(benchmark, figure5_rows):
-    """The batched engine regenerates Figure 5 record-for-record: the
-    same seeded pairs, differenced as one batch per sweep instead of a
-    per-row Python loop — and it's the faster way to run the sweep."""
-    records = benchmark.pedantic(
-        lambda: figure5_batched_sweep(
-            fractions=PAPER_FIGURE5_FRACTIONS, width=WIDTH, repetitions=REPETITIONS
-        ),
-        rounds=3,
-        iterations=1,
-    )
-    rows = aggregate(
-        records,
-        ["error_fraction"],
-        ["iterations", "run_difference", "k3", "theorem1_bound"],
-    )
-    assert rows == figure5_rows

@@ -17,7 +17,7 @@ Outputs: ``results/observation.txt``, ``results/observation.json``.
 import numpy as np
 import pytest
 
-from repro.core.vectorized import VectorizedXorEngine
+from repro.core.batched import BatchedXorEngine
 from repro.rle.row import RLERow
 from repro.workloads.random_rows import generate_row_pair
 from repro.workloads.spec import BaseRowSpec, ErrorSpec
@@ -29,7 +29,7 @@ TRIALS_STRUCTURED = 1000
 
 
 def _campaign():
-    engine = VectorizedXorEngine(collect_stats=False)
+    engine = BatchedXorEngine(collect_stats=False)
     rng = np.random.default_rng(2026)
     violations = 0
     slacks = []

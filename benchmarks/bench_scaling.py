@@ -8,10 +8,10 @@ Two questions the paper's analysis implies, measured directly:
   O(1) in the image size (Table 1's second pairing, here swept further,
   up to 16 384 px).
 
-Also times the vectorized engine across widths, establishing the
-simulator's own scaling (the paper's repro note: "simple simulation,
-though slow for large images" — the NumPy engine is what makes the
-10 kpx sweeps practical).
+Also times the batched engine (one lane) on the largest width,
+establishing the simulator's own scaling (the paper's repro note:
+"simple simulation, though slow for large images" — the array engine is
+what makes the 10 kpx sweeps practical).
 
 Outputs: ``results/scaling.csv``, ``results/scaling.txt``,
 ``results/scaling.json``.
@@ -24,7 +24,7 @@ from repro.analysis.models import linear_fit
 from repro.analysis.report import format_table, to_csv
 from repro.analysis.runner import run_sweep
 from repro.analysis.experiments import table1_trial
-from repro.core.vectorized import VectorizedXorEngine
+from repro.core.batched import BatchedXorEngine
 from repro.workloads.random_rows import generate_row_pair
 from repro.workloads.spec import BaseRowSpec, ErrorSpec
 
@@ -49,11 +49,11 @@ def scaling_rows():
 
 
 def test_scaling_regenerate(benchmark, scaling_rows, results_dir):
-    # time the vectorized engine on the largest width
+    # time the batched engine (one lane) on the largest width
     a, b, _ = generate_row_pair(
         BaseRowSpec(width=WIDTHS[-1]), ErrorSpec(fraction=0.035), seed=1
     )
-    engine = VectorizedXorEngine(collect_stats=False)
+    engine = BatchedXorEngine(collect_stats=False)
     benchmark(lambda: engine.diff(a, b))
 
     columns = [

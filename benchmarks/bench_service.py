@@ -362,10 +362,10 @@ PERSISTENT_SPEEDUP_FLOOR = 1.5
 
 #: The persistent bench runs the *systolic* engine — the paper's
 #: cell-level simulation, the expensive computation this cache exists
-#: to make restart-durable.  The vectorized engines recompute a dense
-#: row faster than any per-row disk probe; persisting their results is
-#: a capacity play (RAM budget), not a latency one, and a restart bench
-#: over them would measure nothing but file I/O.
+#: to make restart-durable.  The batched engine recomputes a dense row
+#: faster than any per-row disk probe; persisting its results is a
+#: capacity play (RAM budget), not a latency one, and a restart bench
+#: over it would measure nothing but file I/O.
 PERSISTENT_ENGINE = "systolic"
 
 #: Unique dense row pairs (the sharded bench's generator): every row is

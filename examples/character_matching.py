@@ -11,8 +11,7 @@ resolves the best candidates in very few iterations.
 Run:  python examples/character_matching.py
 """
 
-from repro.core.api import row_diff
-from repro.core.options import DiffOptions
+from repro.core.batched import BatchedXorEngine
 from repro.rle.ops2d import xor_images
 from repro.workloads.characters import (
     degrade_image,
@@ -43,9 +42,12 @@ def main() -> None:
         # row-level systolic cost of comparing the scan to the winner:
         # highly similar pair => tiny iteration counts per row
         template = render_glyph(best, scale=scale)
-        iters = 0
-        for row_n, row_t in zip(noisy, template):
-            iters += row_diff(row_n, row_t, options=DiffOptions(engine="vectorized")).iterations
+        iters = sum(
+            r.iterations
+            for r in BatchedXorEngine(collect_stats=False).diff_rows(
+                list(noisy), list(template)
+            )
+        )
         print(
             f"  {char}    ->  {best}         {best_score:>4}   "
             f"{second} ({second_score:>3})           {iters:>3}"

@@ -29,7 +29,7 @@ def main() -> None:
     print(f"revision similarity: {1 - error_fraction(original, revised):.4f}")
     print()
 
-    diff = diff_images(original, revised, options=DiffOptions(engine="vectorized"))
+    diff = diff_images(original, revised, options=DiffOptions(engine="batched"))
     print(f"differing pixels: {diff.difference_pixels}")
     print(f"systolic iterations over all {height} rows: {diff.total_iterations}")
     print(f"worst row: {diff.max_iterations} iterations")

@@ -31,7 +31,7 @@ def main() -> None:
 
     print("frame  diff-px  err-frac  systolic-iters  moving objects (centroids)")
     for t, (prev, cur) in enumerate(zip(frames, frames[1:]), start=1):
-        diff = diff_images(prev, cur, options=DiffOptions(engine="vectorized"))
+        diff = diff_images(prev, cur, options=DiffOptions(engine="batched"))
         # bridge the leading/trailing edges of each moving object
         grouped = dilate_image(diff.image, 2, 2)
         components = [c for c in label_components(grouped) if c.area >= 8]

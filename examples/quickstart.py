@@ -26,7 +26,7 @@ def main() -> None:
     )
 
     # every engine computes the same function
-    for engine in ("systolic", "vectorized", "batched", "sequential"):
+    for engine in ("systolic", "batched", "sequential"):
         r = row_diff(row1, row2, options=DiffOptions(engine=engine))
         print(f"  {engine:<11} -> {r.result.to_pairs()}")
 

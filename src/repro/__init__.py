@@ -22,10 +22,10 @@ Quickstart
 
 from repro.rle import RLEImage, RLERow, Run
 from repro.core.api import image_diff, row_diff
+from repro.core.batched import BatchedXorEngine
 from repro.core.machine import SystolicXorMachine
 from repro.core.options import ENGINE_NAMES, DiffOptions, EngineName
 from repro.core.sequential import sequential_xor
-from repro.core.vectorized import VectorizedXorEngine
 
 __version__ = "1.1.0"
 
@@ -39,7 +39,7 @@ __all__ = [
     "EngineName",
     "ENGINE_NAMES",
     "SystolicXorMachine",
-    "VectorizedXorEngine",
+    "BatchedXorEngine",
     "sequential_xor",
     "__version__",
 ]

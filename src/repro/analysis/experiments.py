@@ -22,20 +22,19 @@ from typing import Dict, List, Mapping, Sequence
 
 from repro.analysis.runner import Record, run_sweep
 from repro.broadcast.bus_machine import BusXorMachine
+from repro.core.batched import BatchedXorEngine
 from repro.core.compaction import (
     bus_compaction_cycles,
     count_mergeable_pairs,
     systolic_compaction_cycles,
 )
 from repro.core.sequential import sequential_xor
-from repro.core.vectorized import VectorizedXorEngine
 from repro.workloads.spec import BaseRowSpec, ErrorSpec
 from repro.workloads.random_rows import generate_row_pair
 
 __all__ = [
     "figure5_trial",
     "figure5_sweep",
-    "figure5_batched_sweep",
     "table1_trial",
     "table1_sweep",
     "bus_ablation_trial",
@@ -85,7 +84,7 @@ def _make_pair(params: Mapping[str, object], seed: int):
 def figure5_trial(params: Mapping[str, object], seed: int) -> Dict[str, float]:
     """One Figure 5 measurement: the three plotted series plus context."""
     row_a, row_b, mask = _make_pair(params, seed)
-    result = VectorizedXorEngine(collect_stats=False).diff(row_a, row_b)
+    result = BatchedXorEngine(collect_stats=False).diff(row_a, row_b)
     return {
         "iterations": float(result.iterations),
         "run_difference": float(abs(result.k1 - result.k2)),
@@ -108,55 +107,13 @@ def figure5_sweep(
     return run_sweep(figure5_trial, points, repetitions=repetitions, seed0=seed0)
 
 
-def figure5_batched_sweep(
-    fractions: Sequence[float] = PAPER_FIGURE5_FRACTIONS,
-    width: int = 10_000,
-    repetitions: int = 10,
-    seed0: int = 5,
-) -> List[Record]:
-    """:func:`figure5_sweep` through the batched engine: the same seeded
-    row pairs (identical derivation scheme), but every (point, repetition)
-    trial differenced in **one** :class:`BatchedXorEngine` batch instead
-    of a Python loop of per-row engines — record-for-record identical
-    metrics, one engine dispatch."""
-    from repro.analysis.runner import _derive_seed
-    from repro.core.batched import BatchedXorEngine
-
-    points = [{"width": width, "error_fraction": f} for f in fractions]
-    metas, rows_a, rows_b = [], [], []
-    for idx, params in enumerate(points):
-        for rep in range(repetitions):
-            seed = _derive_seed(seed0, idx, rep)
-            row_a, row_b, mask = _make_pair(params, seed)
-            rows_a.append(row_a)
-            rows_b.append(row_b)
-            metas.append((params, seed, mask))
-    results = BatchedXorEngine(collect_stats=False).diff_rows(rows_a, rows_b)
-    return [
-        Record(
-            params=dict(params),
-            seed=seed,
-            metrics={
-                "iterations": float(result.iterations),
-                "run_difference": float(abs(result.k1 - result.k2)),
-                "k3": float(result.k3),
-                "k1": float(result.k1),
-                "k2": float(result.k2),
-                "theorem1_bound": float(result.k1 + result.k2),
-                "error_pixels": float(mask.pixel_count),
-            },
-        )
-        for (params, seed, mask), result in zip(metas, results)
-    ]
-
-
 # --------------------------------------------------------------------- #
 # Table 1                                                                 #
 # --------------------------------------------------------------------- #
 def table1_trial(params: Mapping[str, object], seed: int) -> Dict[str, float]:
     """One Table 1 measurement: systolic and sequential iterations."""
     row_a, row_b, _mask = _make_pair(params, seed)
-    systolic = VectorizedXorEngine(collect_stats=False).diff(row_a, row_b)
+    systolic = BatchedXorEngine(collect_stats=False).diff(row_a, row_b)
     sequential = sequential_xor(row_a, row_b)
     return {
         "systolic_iterations": float(systolic.iterations),
@@ -221,7 +178,7 @@ def density_sweep(
 def bus_ablation_trial(params: Mapping[str, object], seed: int) -> Dict[str, float]:
     """Pure systolic vs. bus-assisted cycles on the same input."""
     row_a, row_b, _ = _make_pair(params, seed)
-    pure = VectorizedXorEngine(collect_stats=False).diff(row_a, row_b)
+    pure = BatchedXorEngine(collect_stats=False).diff(row_a, row_b)
     bus = BusXorMachine(segmented=True).diff(row_a, row_b)
     return {
         "systolic_iterations": float(pure.iterations),
@@ -248,9 +205,9 @@ def bus_ablation_sweep(
 def compaction_trial(params: Mapping[str, object], seed: int) -> Dict[str, float]:
     """Cost/benefit of the future-work adjacent-run merge."""
     row_a, row_b, _ = _make_pair(params, seed)
-    engine = VectorizedXorEngine(collect_stats=False)
+    engine = BatchedXorEngine(collect_stats=False)
     result = engine.diff(row_a, row_b)
-    snapshots = engine.snapshot()
+    snapshots = engine.snapshot(0)
     raw = result.result
     return {
         "raw_runs": float(raw.run_count),

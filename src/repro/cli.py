@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument(
         "--engines",
         type=str,
-        default="batched,vectorized,sequential",
+        default="batched,sequential",
         help="comma-separated engine list (first engine's runtime is the baseline)",
     )
 

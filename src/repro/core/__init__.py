@@ -6,20 +6,20 @@ Modules
 ``xor_cell``     steps 1–3 of Section 3, verbatim
 ``machine``      load / run / extract driver with paranoid invariant mode
 ``sequential``   the paper's sequential merge baseline (Section 2)
-``vectorized``   NumPy engine, bit-identical to the cell machine
-``batched``      NumPy engine stepping every row of an image at once
+``batched``      array engine stepping every row of an image at once,
+                 state-for-state identical to the cell machine
 ``states``       the Figure 4 cell-state taxonomy
 ``invariants``   executable Theorems 1–3 / Corollaries 1.1, 1.2, 2.1
 ``compaction``   the future-work final merge pass
 ``pipeline``     whole-image differencing over one array
 ``api``          the high-level entry points :func:`row_diff` / :func:`image_diff`
+                 and :func:`diff_rows`, the one engine dispatch
 """
 
 from repro.core.api import image_diff, row_diff
 from repro.core.batched import BatchedXorEngine
 from repro.core.machine import SystolicXorMachine, XorRunResult
 from repro.core.sequential import SequentialResult, sequential_xor
-from repro.core.vectorized import VectorizedXorEngine
 
 __all__ = [
     "row_diff",
@@ -28,6 +28,5 @@ __all__ = [
     "XorRunResult",
     "sequential_xor",
     "SequentialResult",
-    "VectorizedXorEngine",
     "BatchedXorEngine",
 ]

@@ -14,23 +14,23 @@ Engines
 ``"systolic"``
     The reference cell-by-cell simulator (:class:`SystolicXorMachine`) —
     exact, fully instrumented, but Python-speed.
-``"vectorized"``
-    The NumPy whole-array simulator — identical state evolution, ~two
-    orders of magnitude faster per row, but whole images still pay a
-    Python-level row loop.
 ``"batched"``
-    The NumPy whole-*image* simulator (:class:`BatchedXorEngine`) —
-    every row's register file stepped at once as one masked batch, with
+    The whole-*image* simulator (:class:`BatchedXorEngine`) — every
+    row's register file stepped at once as one masked batch, with
     per-row early exit via an active-lane mask.  Identical per-row
     results, iteration counts and stats; the default for
     :func:`image_diff`.
 ``"sequential"``
     The paper's software baseline (no systolic hardware at all).
+
+:func:`diff_rows` is the one place an engine name becomes a simulator;
+every entry point (rows, images, the process pool, the service layer)
+runs through it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Union
 
 from repro.rle.image import RLEImage
 from repro.rle.row import RLERow
@@ -46,7 +46,6 @@ from repro.core.options import (
     validate_engine,
 )
 from repro.core.sequential import sequential_xor
-from repro.core.vectorized import VectorizedXorEngine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.pipeline import ImageDiffResult
@@ -57,6 +56,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "row_diff",
     "image_diff",
+    "diff_rows",
     "DiffOptions",
     "EngineName",
     "ENGINE_NAMES",
@@ -64,28 +64,50 @@ __all__ = [
 ]
 
 
-def _dispatch_row(row_a: RLERow, row_b: RLERow, opts: DiffOptions) -> XorRunResult:
-    """Run one row pair on the engine ``opts`` selects.
+def diff_rows(
+    rows_a: Sequence[RLERow],
+    rows_b: Sequence[RLERow],
+    options: DiffOptions,
+) -> List[XorRunResult]:
+    """``rows_a[i] XOR rows_b[i]`` for every ``i``, on the engine
+    ``options`` selects.
 
-    ``opts.engine`` is already validated (at :class:`DiffOptions`
-    construction / coercion time), so this never sees an unknown name.
+    The ``"batched"`` engine runs every pair as one
+    :class:`BatchedXorEngine` batch (``options.tracer`` records its
+    ``row_batch`` → ``step`` spans, ``options.probe`` samples it); the
+    other engines loop over the pairs, one ``row`` span each when
+    traced.  ``options.engine`` is already validated (at
+    :class:`DiffOptions` construction), so this never sees an unknown
+    name.  Metrics are the caller's to record.
     """
-    engine = opts.engine
-    if engine == "systolic":
-        machine = SystolicXorMachine(
-            n_cells=opts.n_cells,
-            paranoid=opts.paranoid,
-            record_trace=opts.record_trace,
-        )
-        return machine.diff(row_a, row_b)
-    if engine == "vectorized":
-        return VectorizedXorEngine(n_cells=opts.n_cells, probe=opts.probe).diff(
-            row_a, row_b
-        )
-    if engine == "batched":
-        return BatchedXorEngine(n_cells=opts.n_cells, probe=opts.probe).diff(
-            row_a, row_b
-        )
+    tracer = options.tracer
+    if options.engine == "batched":
+        return BatchedXorEngine(
+            n_cells=options.n_cells, tracer=tracer, probe=options.probe
+        ).diff_rows(list(rows_a), list(rows_b))
+    run: Callable[[RLERow, RLERow], XorRunResult]
+    if options.engine == "systolic":
+        run = SystolicXorMachine(
+            n_cells=options.n_cells,
+            paranoid=options.paranoid,
+            record_trace=options.record_trace,
+        ).diff
+    else:
+        run = _sequential_diff
+    if tracer is None:
+        return [run(ra, rb) for ra, rb in zip(rows_a, rows_b)]
+    results: List[XorRunResult] = []
+    for i, (ra, rb) in enumerate(zip(rows_a, rows_b)):
+        with tracer.span("row", index=i) as span:
+            result = run(ra, rb)
+            span.set_attribute("iterations", result.iterations)
+        results.append(result)
+    return results
+
+
+def _sequential_diff(row_a: RLERow, row_b: RLERow) -> XorRunResult:
+    """The sequential merge in the engines' result type: ``iterations``
+    is the merge-loop count, and ``n_cells`` is 0 (no array)."""
     seq = sequential_xor(row_a, row_b)
     return XorRunResult(
         result=seq.result,
@@ -126,7 +148,7 @@ def row_diff(
     ``stats``) are zeroed/empty.  ``options.tracer`` wraps the dispatch
     in a ``row_diff`` span, ``options.metrics`` records the run under
     the standard ``repro_*`` families, and ``options.probe`` samples
-    convergence on the NumPy engines; all ``None`` by default, which
+    convergence on the batched engine; all ``None`` by default, which
     costs the hot path nothing.
     """
     opts = resolve_options(
@@ -144,7 +166,7 @@ def row_diff(
         "row_diff",
     )
     if opts.tracer is None:
-        result = _dispatch_row(row_a, row_b, opts)
+        result = diff_rows([row_a], [row_b], opts)[0]
     else:
         with opts.tracer.span(
             "row_diff",
@@ -152,7 +174,7 @@ def row_diff(
             k1=row_a.run_count,
             k2=row_b.run_count,
         ) as span:
-            result = _dispatch_row(row_a, row_b, opts)
+            result = diff_rows([row_a], [row_b], opts)[0]
             span.set_attribute("iterations", result.iterations)
     if opts.metrics is not None:
         from repro.obs.metrics import record_image_diff
@@ -176,8 +198,8 @@ def image_diff(
     """Difference of two whole images.
 
     The default ``"batched"`` engine steps every row's array in one
-    NumPy batch; the other engines process rows one at a time.  See
-    :mod:`repro.core.pipeline` for the underlying dispatch and the
+    batch; the other engines process rows one at a time (see
+    :func:`diff_rows`).  See :mod:`repro.core.pipeline` for the
     returned :class:`~repro.core.pipeline.ImageDiffResult` (which
     carries per-row iteration counts — the quantity the paper reports).
 

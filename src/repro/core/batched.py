@@ -1,14 +1,14 @@
 """Batched whole-image simulation of the systolic XOR.
 
 The paper's headline claim is that the systolic array processes *all*
-runs concurrently — yet the per-row NumPy engine
-(:class:`~repro.core.vectorized.VectorizedXorEngine`) still walks an
-image row by row in a Python loop, paying per-row load/dispatch overhead
-that dominates run-length workloads (cf. Ehrensperger et al. and Breuel
-on RLE morphology).  This engine lifts the batch dimension into NumPy:
-the register files of **every row of an image at once** live in planar
-``(n_rows, n_cells)`` integer arrays, and the paper's three steps run as
-single masked kernels across the whole batch.
+runs concurrently.  A row-at-a-time simulator walks an image in a Python
+loop, paying per-row load/dispatch overhead that dominates run-length
+workloads (cf. Ehrensperger et al. and Breuel on RLE morphology).  This
+engine lifts the batch dimension into the arrays: the register files of
+**every row of an image at once** live in planar ``(n_rows, n_cells)``
+integer arrays, and the paper's three steps run as single masked kernels
+across the whole batch.  A batch of one lane (:meth:`BatchedXorEngine.diff`)
+is the single-row engine.
 
 State layout
 ------------
@@ -52,8 +52,7 @@ machine's counters exactly — the shared batch width does not distort
 them because every counter only fires on occupied cells.
 
 The equivalence tests compare per-iteration snapshots of every lane
-against :class:`~repro.core.machine.SystolicXorMachine` and
-:class:`~repro.core.vectorized.VectorizedXorEngine`; only the Python
+against :class:`~repro.core.machine.SystolicXorMachine`; only the Python
 loops over rows and cells are gone, the state evolution is identical.
 
 The step kernel
@@ -535,8 +534,10 @@ class BatchedXorEngine:
     ) -> List[XorRunResult]:
         """Difference ``rows_a[i] XOR rows_b[i]`` for every ``i`` in one
         batch; returns one :class:`XorRunResult` per lane (same contract
-        as running :meth:`VectorizedXorEngine.diff` per row, except
-        ``n_cells`` reports the shared batch width)."""
+        as running :meth:`SystolicXorMachine.diff
+        <repro.core.machine.SystolicXorMachine.diff>` per row, except
+        ``n_cells`` reports the shared batch width and no phase trace is
+        recorded)."""
         self.load(rows_a, rows_b)
         self.run(max_iterations=max_iterations)
         n = self.batch_cells

@@ -59,9 +59,9 @@ __all__ = [
     "resolve_options",
 ]
 
-#: The engine dispatch vocabulary (see :mod:`repro.core.api` for what
-#: each name selects).
-EngineName = Literal["systolic", "vectorized", "batched", "sequential"]
+#: The engine vocabulary (:func:`repro.core.api.diff_rows` maps each
+#: name to its simulator).
+EngineName = Literal["systolic", "batched", "sequential"]
 
 #: Runtime view of :data:`EngineName` — the single source of truth for
 #: boundary validation and CLI choice lists.
@@ -115,7 +115,8 @@ class DiffOptions:
     tracer: "Optional[Tracer]" = None
     #: Optional :class:`repro.obs.metrics.MetricsRegistry` to record into.
     metrics: "Optional[MetricsRegistry]" = None
-    #: Optional :class:`repro.obs.profile.EngineProfiler` convergence probe.
+    #: Optional :class:`repro.obs.profile.EngineProfiler` convergence
+    #: probe (batched engine only).
     probe: "Optional[EngineProfiler]" = None
     #: Optional :class:`repro.service.resilience.ResiliencePolicy` —
     #: deadlines, retries, breaker thresholds and degraded modes for the

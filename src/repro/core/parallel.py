@@ -10,12 +10,14 @@ large images.
 
 Configuration travels as one
 :class:`~repro.core.options.DiffOptions` — the same bundle
-``diff_images`` takes, so the parallel path no longer hard-codes the
-batched engine or drops ``n_cells``/``probe``: each worker runs the
-*requested* engine over its chunk (one :class:`BatchedXorEngine` batch
-per chunk for the default, a per-row loop for the others).  Workers
-receive plain run-pair lists and return plain tuples (small, picklable),
-keeping IPC cheap.  For images that fit comfortably in one batch the
+``diff_images`` takes: each worker rebuilds the options' semantic fields
+(engine, ``n_cells``, ``paranoid``, ``record_trace``) and runs its chunk
+through :func:`repro.core.api.diff_rows`, the dispatch every serial
+entry point uses (one :class:`BatchedXorEngine` batch per chunk for the
+default, a per-row loop for the others).  Workers receive plain run-pair
+lists and return plain tuples (small, picklable), keeping IPC cheap —
+which is also why pool results carry no phase trace, even under
+``record_trace``.  For images that fit comfortably in one batch the
 serial ``engine="batched"`` path usually wins outright — prefer this
 pool only when the per-image work is large enough to amortize process
 start-up and pickling.
@@ -44,17 +46,16 @@ from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 from repro.errors import GeometryError, SystolicError
 from repro.rle.image import RLEImage
 from repro.rle.row import RLERow
-from repro.core.batched import BatchedXorEngine
-from repro.core.machine import SystolicXorMachine, XorRunResult
+from repro.core.api import diff_rows
+from repro.core.machine import XorRunResult
 from repro.core.options import (
     IMAGE_DEFAULTS,
     DiffOptions,
     EngineName,
     resolve_options,
+    validate_engine,
 )
 from repro.core.pipeline import ImageDiffResult
-from repro.core.sequential import sequential_xor
-from repro.core.vectorized import VectorizedXorEngine
 from repro.systolic.stats import ActivityStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -81,51 +82,40 @@ ProbeOut = Tuple[Tuple[int, int, int, int, float], ...]
 #: caller did not profile).
 ChunkOut = Tuple[int, List["RowOut"], "MetricsSnapshot", float, ProbeOut]
 
+#: The options' semantic fields: engine name, fixed cell count,
+#: paranoid, record_trace (what :meth:`DiffOptions.cache_key` returns).
+Semantics = Tuple[str, Optional[int], bool, bool]
+
 #: What each worker needs besides its rows: chunk index, row pairs,
-#: width, engine name, fixed cell count, and whether to profile.
-ChunkPayload = Tuple[
-    int, List[Tuple[RunPairs, RunPairs]], int, str, Optional[int], bool
-]
+#: width, the semantic fields, and whether to profile.
+ChunkPayload = Tuple[int, List[Tuple[RunPairs, RunPairs]], int, Semantics, bool]
 
 
 def _diff_chunk(payload: ChunkPayload) -> ChunkOut:
-    """Worker: diff a chunk of row pairs on the requested engine.
+    """Worker: diff a chunk of row pairs under the caller's options.
 
     Runs in a separate process — only builtin types and frozen snapshot
-    dataclasses cross the boundary.  The default ``"batched"`` engine
-    diffs the whole chunk as one batch; the per-row engines loop.
+    dataclasses cross the boundary.
     """
     from repro.obs.metrics import MetricsRegistry, record_image_diff
     from repro.obs.profile import EngineProfiler
 
-    chunk_index, rows, width, engine, n_cells, probe_on = payload
+    chunk_index, rows, width, semantics, probe_on = payload
+    engine, n_cells, paranoid, record_trace = semantics
     started = time.perf_counter()
     probe = EngineProfiler() if probe_on else None
-    rows_a = [RLERow.from_pairs(pa, width=width) for pa, _ in rows]
-    rows_b = [RLERow.from_pairs(pb, width=width) for _, pb in rows]
-    if engine == "batched":
-        results = BatchedXorEngine(
-            n_cells=n_cells, collect_stats=True, probe=probe
-        ).diff_rows(rows_a, rows_b)
-    elif engine == "vectorized":
-        vec = VectorizedXorEngine(n_cells=n_cells, probe=probe)
-        results = [vec.diff(ra, rb) for ra, rb in zip(rows_a, rows_b)]
-    elif engine == "systolic":
-        machine = SystolicXorMachine(n_cells=n_cells)
-        results = [machine.diff(ra, rb) for ra, rb in zip(rows_a, rows_b)]
-    else:  # sequential — validated upstream, so nothing else reaches here
-        results = []
-        for ra, rb in zip(rows_a, rows_b):
-            seq = sequential_xor(ra, rb)
-            results.append(
-                XorRunResult(
-                    result=seq.result,
-                    iterations=seq.iterations,
-                    k1=ra.run_count,
-                    k2=rb.run_count,
-                    n_cells=0,
-                )
-            )
+    options = DiffOptions(
+        engine=validate_engine(engine),
+        n_cells=n_cells,
+        paranoid=paranoid,
+        record_trace=record_trace,
+        probe=probe,
+    )
+    results = diff_rows(
+        [RLERow.from_pairs(pa, width=width) for pa, _ in rows],
+        [RLERow.from_pairs(pb, width=width) for _, pb in rows],
+        options,
+    )
     registry = MetricsRegistry()
     record_image_diff(registry, engine, results)
     out: List[RowOut] = [
@@ -179,12 +169,15 @@ def parallel_diff_images(
         Rows per work unit; default splits into ~4 chunks per worker to
         balance stragglers.
     options:
-        Engine selection, ``n_cells``, ``canonical`` and the
-        observability handles.  Worker metrics are merged into
-        ``options.metrics`` (totals match a serial run exactly), worker
-        wall times land on ``options.tracer`` as ``chunk`` spans, and
-        worker convergence samples are re-recorded on ``options.probe``
-        in chunk order.
+        Engine selection, ``n_cells``, ``canonical``, ``paranoid``,
+        ``record_trace`` and the observability handles.  Worker metrics
+        are merged into ``options.metrics`` (totals match a serial run
+        exactly), worker wall times land on ``options.tracer`` as
+        ``chunk`` spans, and worker convergence samples are re-recorded
+        on ``options.probe`` in chunk order.  ``paranoid`` checks run in
+        the workers; ``record_trace`` traces are not shipped back, so
+        pool results carry ``trace=None`` (use ``workers=1``, the serial
+        path, to get them).
     """
     opts = resolve_options(
         options,
@@ -219,7 +212,7 @@ def parallel_diff_images(
             for y in range(start, min(start + chunk_rows, height))
         ]
         payloads.append(
-            (chunk_index, rows, width, opts.engine, opts.n_cells, opts.probe is not None)
+            (chunk_index, rows, width, opts.cache_key(), opts.probe is not None)
         )
 
     if opts.tracer is None:

@@ -10,22 +10,20 @@ quantities the evaluation reports.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Union
 
-from repro.errors import GeometryError, UnknownEngineError
+from repro.errors import GeometryError
 from repro.rle.image import RLEImage
-from repro.rle.row import RLERow
-from repro.core.batched import BatchedXorEngine
-from repro.core.machine import SystolicXorMachine, XorRunResult
+from repro.core.api import diff_rows
+from repro.core.machine import XorRunResult
 from repro.core.options import (
     IMAGE_DEFAULTS,
     DiffOptions,
     EngineName,
     resolve_options,
 )
-from repro.core.sequential import sequential_xor
-from repro.core.vectorized import VectorizedXorEngine
 from repro.systolic.stats import ActivityStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -117,9 +115,9 @@ def diff_images(
     Option fields used by this entry point
     --------------------------------------
     engine:
-        ``"batched"`` (default — one NumPy batch over all rows at once),
-        or the per-row engines ``"systolic"``, ``"vectorized"``,
-        ``"sequential"`` (see :mod:`repro.core.api`).
+        ``"batched"`` (default — one batch over all rows at once), or
+        the per-row engines ``"systolic"`` and ``"sequential"`` (see
+        :func:`repro.core.api.diff_rows`).
     canonical:
         Merge adjacent runs in the output rows (the paper's optional
         final compression pass).
@@ -138,8 +136,10 @@ def diff_images(
         ``repro_*`` names (:func:`repro.obs.metrics.record_image_diff`).
     probe:
         Optional :class:`repro.obs.profile.EngineProfiler` for
-        per-iteration convergence sampling (batched and vectorized
-        engines only).
+        per-iteration convergence sampling (batched engine only).
+    paranoid, record_trace:
+        Per-iteration invariant checks and a phase trace on every row
+        (systolic engine only).
     """
     opts = resolve_options(
         options,
@@ -157,59 +157,18 @@ def diff_images(
     if image_a.shape != image_b.shape:
         raise GeometryError(f"image shapes differ: {image_a.shape} vs {image_b.shape}")
 
-    if opts.tracer is None:
-        result = _diff_images_inner(image_a, image_b, opts)
-    else:
-        with opts.tracer.span(
+    traced = (
+        nullcontext()
+        if opts.tracer is None
+        else opts.tracer.span(
             "image_diff", engine=opts.engine, rows=image_a.height, width=image_a.width
-        ):
-            result = _diff_images_inner(image_a, image_b, opts)
+        )
+    )
+    with traced:
+        row_results = diff_rows(list(image_a), list(image_b), opts)
+        result = ImageDiffResult.assemble(row_results, image_a.width, opts.canonical)
     if opts.metrics is not None:
         from repro.obs.metrics import record_image_diff
 
-        record_image_diff(opts.metrics, opts.engine, result.row_results)
+        record_image_diff(opts.metrics, opts.engine, row_results)
     return result
-
-
-def _diff_images_inner(
-    image_a: RLEImage,
-    image_b: RLEImage,
-    opts: DiffOptions,
-) -> ImageDiffResult:
-    engine, n_cells = opts.engine, opts.n_cells
-    tracer, probe, canonical = opts.tracer, opts.probe, opts.canonical
-    if engine == "batched":
-        row_results = BatchedXorEngine(
-            n_cells=n_cells, tracer=tracer, probe=probe
-        ).diff_rows(list(image_a), list(image_b))
-        return ImageDiffResult.assemble(row_results, image_a.width, canonical)
-
-    if engine == "systolic":
-        machine = SystolicXorMachine(n_cells=n_cells, paranoid=opts.paranoid)
-        run = machine.diff
-    elif engine == "vectorized":
-        vec = VectorizedXorEngine(n_cells=n_cells, probe=probe)
-        run = vec.diff
-    elif engine == "sequential":
-        def run(ra: RLERow, rb: RLERow) -> XorRunResult:
-            seq = sequential_xor(ra, rb)
-            return XorRunResult(
-                result=seq.result,
-                iterations=seq.iterations,
-                k1=ra.run_count,
-                k2=rb.run_count,
-                n_cells=0,
-            )
-    else:  # pragma: no cover - options validation rejects this upstream
-        raise UnknownEngineError(f"unknown engine {engine!r}")
-
-    row_results: List[XorRunResult] = []
-    for i, (ra, rb) in enumerate(zip(image_a, image_b)):
-        if tracer is None:
-            result = run(ra, rb)
-        else:
-            with tracer.span("row", index=i) as span:
-                result = run(ra, rb)
-                span.set_attribute("iterations", result.iterations)
-        row_results.append(result)
-    return ImageDiffResult.assemble(row_results, image_a.width, canonical)

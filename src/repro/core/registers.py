@@ -6,7 +6,7 @@ closed interval.  The paper's step-2 arithmetic freely produces intervals
 with ``end < start``; by convention such an interval *is* the empty
 register (hardware would set a valid bit; we normalize to the canonical
 empty encoding ``(0, -1)`` so snapshots compare bit-for-bit with the
-vectorized engine's sentinel).
+batched engine's sentinel).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from repro.rle.run import Run
 
 __all__ = ["RunRegister", "EMPTY_SNAPSHOT"]
 
-#: Canonical encoding of an empty register, shared with the vectorized engine.
+#: Canonical encoding of an empty register, shared with the batched engine.
 EMPTY_SNAPSHOT: Tuple[int, int] = (0, -1)
 
 

@@ -27,7 +27,7 @@ from typing import Dict, List, Literal, Sequence
 
 from repro.errors import ReproError
 from repro.rle.image import RLEImage
-from repro.core.vectorized import VectorizedXorEngine
+from repro.core.batched import BatchedXorEngine
 
 __all__ = ["RowJob", "ScheduleResult", "row_costs", "schedule", "simulate_deployment"]
 
@@ -96,12 +96,13 @@ def row_costs(
     """
     if image_a.shape != image_b.shape:
         raise ReproError(f"image shapes differ: {image_a.shape} vs {image_b.shape}")
-    engine = VectorizedXorEngine(collect_stats=False)
-    jobs = []
-    for i, (ra, rb) in enumerate(zip(image_a, image_b)):
-        result = engine.diff(ra, rb)
-        jobs.append(RowJob(row_index=i, iterations=result.iterations, overhead=overhead))
-    return jobs
+    results = BatchedXorEngine(collect_stats=False).diff_rows(
+        list(image_a), list(image_b)
+    )
+    return [
+        RowJob(row_index=i, iterations=result.iterations, overhead=overhead)
+        for i, result in enumerate(results)
+    ]
 
 
 def schedule(

@@ -108,7 +108,7 @@ def measure_row_phases(
     Python loop); the phase derivation then reads each row's run counts
     and iteration total.  Per-row phase costs are engine-independent —
     the cross-engine equivalence test pins them against a per-row
-    vectorized sweep.
+    sweep of the reference cell machine.
     """
     if image_a.shape != image_b.shape:
         raise GeometryError(f"image shapes differ: {image_a.shape} vs {image_b.shape}")

@@ -104,8 +104,6 @@ class InspectionSystem:
         Blobs below this many differing pixels are treated as noise.
     merge_radius:
         Fragment-bridging radius for blob grouping.
-    engine:
-        Difference engine name (see :mod:`repro.core.api`).
     tracer:
         Optional shared :class:`repro.obs.tracing.Tracer`; every
         ``inspect`` call appends its ``inspect`` → ``align`` / ``diff``
@@ -119,13 +117,10 @@ class InspectionSystem:
         max_offset: int = 1,
         min_defect_area: int = 2,
         merge_radius: int = 1,
-        engine: str = "vectorized",
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.reference = reference
-        self.comparator = ReferenceComparator(
-            reference, max_offset=max_offset, engine=engine
-        )
+        self.comparator = ReferenceComparator(reference, max_offset=max_offset)
         self.min_defect_area = min_defect_area
         self.merge_radius = merge_radius
         self.tracer = tracer

@@ -16,7 +16,6 @@ from typing import Optional, Tuple
 from repro.errors import GeometryError
 from repro.rle.image import RLEImage
 from repro.rle.ops2d import translate_image, xor_images
-from repro.core.options import DiffOptions, validate_engine
 from repro.core.pipeline import ImageDiffResult, diff_images
 
 __all__ = ["ComparisonReport", "ReferenceComparator"]
@@ -45,22 +44,16 @@ class ReferenceComparator:
         The golden (CAD-derived) image.
     max_offset:
         Registration search radius in pixels (0 disables the search).
-    engine:
-        Difference engine for the *final* measured diff
-        (alignment scoring always uses the fast RLE ops).
+
+    The *final* measured diff runs on the batched engine; alignment
+    scoring always uses the fast RLE ops.
     """
 
-    def __init__(
-        self,
-        reference: RLEImage,
-        max_offset: int = 1,
-        engine: str = "vectorized",
-    ) -> None:
+    def __init__(self, reference: RLEImage, max_offset: int = 1) -> None:
         if max_offset < 0:
             raise GeometryError(f"max_offset must be >= 0, got {max_offset}")
         self.reference = reference
         self.max_offset = max_offset
-        self.engine = engine
 
     # ------------------------------------------------------------------ #
     def align(self, scan: RLEImage) -> Tuple[int, int]:
@@ -88,9 +81,7 @@ class ReferenceComparator:
         """
         dy, dx = offset if offset is not None else self.align(scan)
         aligned = translate_image(scan, dy, dx) if (dy or dx) else scan
-        diff_result = diff_images(
-            self.reference, aligned, options=DiffOptions(engine=validate_engine(self.engine))
-        )
+        diff_result = diff_images(self.reference, aligned)
         return ComparisonReport(
             difference=diff_result.image,
             offset=(dy, dx),

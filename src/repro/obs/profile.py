@@ -4,8 +4,7 @@ Corollary 1.1 says the array drains ``RegBig`` left to right: after
 iteration *t*, cells ``1..t`` hold their final ``RegSmall`` contents and
 an empty ``RegBig``.  The engines make that *visible in data*: pass an
 :class:`EngineProfiler` to :class:`~repro.core.batched.BatchedXorEngine`
-(or :class:`~repro.core.vectorized.VectorizedXorEngine`) and every
-iteration records
+and every iteration records
 
 ``active_lanes``
     rows still stepping (batched lanes terminate independently — the

@@ -87,9 +87,8 @@ def runs_to_bits(runs: Sequence[Run], width: int) -> BitArray:
 def pack_run_array(runs: Sequence[Run]) -> np.ndarray:
     """Pack runs into an ``(k, 2)`` int64 array of ``[start, end]`` rows.
 
-    This is the layout used by the vectorized systolic engine
-    (:mod:`repro.core.vectorized`): structure-of-arrays access over all
-    cells at once instead of per-object attribute chasing.
+    Structure-of-arrays access over all runs at once instead of
+    per-object attribute chasing.
     """
     if not runs:
         return np.empty((0, 2), dtype=np.int64)

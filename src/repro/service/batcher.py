@@ -37,8 +37,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 
 from repro.errors import ServiceError, ServiceOverloadError
 from repro.rle.row import RLERow
-from repro.core.api import row_diff
-from repro.core.batched import BatchedXorEngine
+from repro.core.api import diff_rows
 from repro.core.machine import XorRunResult, default_cell_count
 from repro.core.options import DiffOptions
 from repro.service.cache import CacheKey, DiffCache, row_fingerprint
@@ -75,28 +74,26 @@ def compute_row_diffs(
     rows_a: Sequence[RLERow],
     rows_b: Sequence[RLERow],
 ) -> List[XorRunResult]:
-    """Fresh (uncached) diffs for ``len(rows_a)`` row pairs.
+    """Fresh (uncached) diffs for ``len(rows_a)`` row pairs, through
+    :func:`repro.core.api.diff_rows` (one batch on the ``"batched"``
+    engine, a per-row loop on the others).
 
-    The ``"batched"`` engine runs all pairs as one batch; the per-row
-    engines loop.  Observability handles are stripped first — the
-    service records through its own cache/batch metrics, and results
-    must not depend on who was watching.  With automatic sizing
-    (``options.n_cells is None``) the batched engine's per-row
-    ``n_cells`` is rewritten to
+    Observability handles are stripped first — the service records
+    through its own cache/batch metrics, and results must not depend on
+    who was watching.  With automatic sizing (``options.n_cells is
+    None``) a batch's shared ``n_cells`` is rewritten to each row's own
     :func:`~repro.core.machine.default_cell_count` so the result is
-    independent of batch composition (see the module docstring).
+    independent of batch composition (see the module docstring); the
+    sequential engine's 0 (no array) is kept.
     """
     opts = options.without_observability()
-    if opts.engine == "batched":
-        results = BatchedXorEngine(n_cells=opts.n_cells).diff_rows(
-            list(rows_a), list(rows_b)
-        )
-        if opts.n_cells is None:
-            results = [
-                replace(r, n_cells=default_cell_count(r.k1, r.k2)) for r in results
-            ]
+    results = diff_rows(rows_a, rows_b, opts)
+    if opts.n_cells is not None:
         return results
-    return [row_diff(ra, rb, options=opts) for ra, rb in zip(rows_a, rows_b)]
+    return [
+        replace(r, n_cells=default_cell_count(r.k1, r.k2)) if r.n_cells else r
+        for r in results
+    ]
 
 
 class _Request:

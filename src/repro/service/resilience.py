@@ -377,6 +377,12 @@ class CircuitBreaker:
             self._on_transition(from_state, to_state)
 
 
+def _min_cells(options: DiffOptions) -> int:
+    """The least ``n_cells`` a valid result reports: the sequential
+    engine builds no array and reports 0; the cell engines need one."""
+    return 0 if options.engine == "sequential" else 1
+
+
 def validate_result(
     options: DiffOptions,
     row_a: RLERow,
@@ -403,7 +409,7 @@ def validate_result(
         raise CorruptResultError(
             f"negative iteration count {result.iterations}"
         )
-    if result.n_cells < 1:
+    if result.n_cells < _min_cells(options):
         raise CorruptResultError(f"impossible n_cells {result.n_cells}")
     if (
         row_a.width is not None
@@ -757,12 +763,13 @@ class ResilientDiffService:
                 if policy.validate_results:
                     # inlined fast path: one predicate per row, and only
                     # a failing row pays for the full (raising) check
+                    min_cells = _min_cells(options)
                     for row_a, row_b, result in zip(rows_a, rows_b, results):
                         if (
                             result.k1 != row_a.run_count
                             or result.k2 != row_b.run_count
                             or result.iterations < 0
-                            or result.n_cells < 1
+                            or result.n_cells < min_cells
                             or (
                                 row_a.width is not None
                                 and result.result.width is not None

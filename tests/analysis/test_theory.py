@@ -89,11 +89,11 @@ class TestEndToEnd:
 
     def test_prediction_matches_measured_iterations(self):
         """The full chain: analytic formula ≈ measured systolic time."""
-        from repro.core.vectorized import VectorizedXorEngine
+        from repro.core.batched import BatchedXorEngine
 
         base = BaseRowSpec(width=10_000, density=0.30)
         errors = ErrorSpec(fraction=0.05)
-        engine = VectorizedXorEngine(collect_stats=False)
+        engine = BatchedXorEngine(collect_stats=False)
         measured = []
         for seed in range(8):
             a, b, _ = generate_row_pair(base, errors, seed=seed)

@@ -8,7 +8,7 @@ from repro.errors import CapacityError
 from repro.rle.ops import xor_rows
 from repro.rle.row import RLERow
 from repro.broadcast.bus_machine import BusXorMachine, _is_pass_through
-from repro.core.vectorized import VectorizedXorEngine
+from repro.core.batched import BatchedXorEngine
 from tests.conftest import PAPER_ROW_1, PAPER_ROW_2, PAPER_XOR, row_pairs, similar_row_pairs
 
 E = (0, -1)
@@ -73,7 +73,7 @@ class TestSpeedClaims:
         least the progress of a systolic iteration."""
         a, b = pair
         bus = BusXorMachine().diff(a, b)
-        pure = VectorizedXorEngine(collect_stats=False).diff(a, b)
+        pure = BatchedXorEngine(collect_stats=False).diff(a, b)
         assert bus.iterations <= pure.iterations
 
     @given(similar_row_pairs(max_width=400))
@@ -96,7 +96,7 @@ class TestSpeedClaims:
             ErrorSpec(fraction=0.05),
             seed=3,
         )
-        pure = VectorizedXorEngine(collect_stats=False).diff(a, b)
+        pure = BatchedXorEngine(collect_stats=False).diff(a, b)
         bus = BusXorMachine().diff(a, b)
         assert abs(a.run_count - b.run_count) > 5, "regime check"
         assert bus.iterations * 3 <= pure.iterations

@@ -1,11 +1,11 @@
-"""The batched whole-image engine vs. the per-row engines.
+"""The batched whole-image engine vs. the reference cell machine.
 
 The batch dimension must be invisible: every lane of a
 :class:`BatchedXorEngine` batch has to evolve exactly like a private
-:class:`VectorizedXorEngine` / :class:`SystolicXorMachine` run on the
-same row pair — same snapshots every iteration, same final result,
-iteration count and activity counters — and the paper's invariants
-(Corollaries 1.1/1.2, Theorems 1/3) must hold per lane.
+:class:`SystolicXorMachine` run on the same row pair — same snapshots
+every iteration, same final result, iteration count and activity
+counters — and the paper's invariants (Corollaries 1.1/1.2, Theorems
+1/3) must hold per lane.
 """
 
 import numpy as np
@@ -29,8 +29,13 @@ from repro.core.invariants import (
 from repro.core.machine import SystolicXorMachine, default_cell_count
 from repro.core.options import DiffOptions
 from repro.core.pipeline import diff_images
-from repro.core.vectorized import VectorizedXorEngine
-from tests.conftest import PAPER_ROW_1, PAPER_ROW_2, PAPER_XOR, PAPER_WIDTH
+from tests.conftest import (
+    PAPER_ROW_1,
+    PAPER_ROW_2,
+    PAPER_XOR,
+    PAPER_WIDTH,
+    similar_row_pairs,
+)
 
 
 def random_batch(seed, n_rows=24, width=120, density_a=0.3, density_b=0.3):
@@ -73,9 +78,11 @@ class TestEndToEnd:
         assert result.canonical_result.to_pairs() == PAPER_XOR
         assert result.iterations == SystolicXorMachine().diff(a, b).iterations
 
-    @given(row_pair_batches())
+    @given(row_pair_batches(), st.lists(similar_row_pairs(), max_size=3))
     @RERUN_IN_SUBCLASS
-    def test_every_lane_matches_reference(self, pairs):
+    def test_every_lane_matches_reference(self, pairs, similar):
+        # random lanes plus lanes from the paper's target regime
+        pairs = pairs + similar
         results = BatchedXorEngine().diff_rows(
             [a for a, _ in pairs], [b for _, b in pairs]
         )
@@ -105,30 +112,38 @@ class TestEndToEnd:
         )
         assert engine.batch_cells == widest
         assert all(r.n_cells == widest for r in results)
+        # a one-lane batch is sized exactly like the reference machine
+        lane = engine.diff(rows_a[0], rows_b[0])
+        assert lane.n_cells == SystolicXorMachine().diff(rows_a[0], rows_b[0]).n_cells
 
 
 class TestStateByState:
     def test_snapshots_identical_every_iteration(self):
-        """Each lane, stepped in the batch, must hit exactly the states a
-        private per-row engine hits — frozen lanes hold their final state."""
+        """Each lane, stepped in the batch, must hit exactly the states
+        the reference machine hits on its row pair — frozen lanes hold
+        their final state."""
         rows_a, rows_b = random_batch(13, n_rows=16, width=90)
+        # one more lane whose loaded snapshot is spelled out: the format
+        rows_a.append(RLERow.from_pairs([(3, 4)], width=10))
+        rows_b.append(RLERow.from_pairs([(5, 2)], width=10))
         batch = BatchedXorEngine()
         batch.load(rows_a, rows_b)
-        singles = []
-        for a, b in zip(rows_a, rows_b):
-            single = VectorizedXorEngine(n_cells=batch.batch_cells)
-            single.load(a, b)
-            singles.append(single)
-        for i, single in enumerate(singles):
-            assert batch.snapshot(i) == single.snapshot()
+        assert batch.snapshot(len(rows_a) - 1)[:2] == (
+            ((3, 6), (5, 6)),
+            ((0, -1), (0, -1)),
+        )
+        machine = SystolicXorMachine(n_cells=batch.batch_cells)
+        arrays = [machine.build_array(a, b)[0] for a, b in zip(rows_a, rows_b)]
+        for i, array in enumerate(arrays):
+            assert batch.snapshot(i) == array.snapshot()
         steps = 0
         while not batch.is_done:
             batch.step()
             steps += 1
-            for i, single in enumerate(singles):
-                if not single.is_done:
-                    single.step()
-                assert batch.snapshot(i) == single.snapshot()
+            for i, array in enumerate(arrays):
+                if not all(cell.is_done() for cell in array.cells):
+                    array.step()
+                assert batch.snapshot(i) == array.snapshot()
         assert steps == max(int(n) for n in batch.iterations)
 
     def test_invariants_hold_per_lane_every_iteration(self):
@@ -202,16 +217,19 @@ class TestGuards:
 
     def test_engine_reusable_across_batches(self):
         engine = BatchedXorEngine()
-        for seed in range(4):
-            rows_a, rows_b = random_batch(seed, n_rows=6, width=60)
+        batches = [random_batch(seed, n_rows=6, width=60) for seed in range(4)]
+        # and a Figure 5-sized row pair (10 000 px, 30 % density)
+        batches.append(random_batch(42, n_rows=1, width=10_000))
+        for rows_a, rows_b in batches:
             for (a, b), res in zip(
                 zip(rows_a, rows_b), engine.diff_rows(rows_a, rows_b)
             ):
                 assert res.result.same_pixels(xor_rows(a, b))
+                assert res.iterations <= res.k1 + res.k2
 
 
 class TestPipelineDispatch:
-    def test_image_diff_batched_matches_vectorized(self):
+    def test_image_diff_batched_matches_systolic(self):
         rng = np.random.default_rng(11)
         bits_a = rng.random((20, 150)) < 0.3
         bits_b = rng.random((20, 150)) < 0.3
@@ -219,7 +237,7 @@ class TestPipelineDispatch:
         image_b = RLEImage.from_array(bits_b)
         batched = diff_images(image_a, image_b, options=DiffOptions(engine="batched"))
         serial = diff_images(
-            image_a, image_b, options=DiffOptions(engine="vectorized")
+            image_a, image_b, options=DiffOptions(engine="systolic")
         )
         assert batched.image == serial.image
         assert [r.iterations for r in batched.row_results] == [
@@ -247,7 +265,7 @@ class TestPipelineDispatch:
         serial = diff_images(
             image_a,
             image_b,
-            options=DiffOptions(engine="vectorized", canonical=False),
+            options=DiffOptions(engine="systolic", canonical=False),
         )
         assert raw.image == serial.image
 

@@ -4,13 +4,13 @@ import numpy as np
 from hypothesis import given
 
 from repro.rle.row import RLERow
+from repro.core.batched import BatchedXorEngine
 from repro.core.compaction import (
     bus_compaction_cycles,
     compact_row,
     count_mergeable_pairs,
     systolic_compaction_cycles,
 )
-from repro.core.vectorized import VectorizedXorEngine
 from tests.conftest import rle_rows
 
 E = (0, -1)
@@ -68,9 +68,9 @@ class TestCycleModels:
         rng = np_rng
         a = RLERow.from_bits(rng.random(400) < 0.3)
         b = RLERow.from_bits(rng.random(400) < 0.3)
-        engine = VectorizedXorEngine()
+        engine = BatchedXorEngine()
         engine.diff(a, b)
-        snaps = engine.snapshot()
+        snaps = engine.snapshot(0)
         sys_cost = systolic_compaction_cycles(snaps)
         bus_cost = bus_compaction_cycles(snaps)
         assert sys_cost >= 0 and bus_cost >= 0

@@ -1,10 +1,10 @@
 """Every engine, one oracle: a seeded randomized sweep (à la the Figure 3
 worked example, but 500 of them) asserting that ``sequential_xor``,
-``xor_rows``, :class:`VectorizedXorEngine`, :class:`BatchedXorEngine`
-and :class:`SystolicXorMachine` agree on the XOR result, and that the
-three systolic engines report identical per-row iteration counts (the
-sequential merge counts merge-loop passes, a different clock — it is
-held to result agreement only).
+``xor_rows``, :class:`BatchedXorEngine` (one lane per row, and every row
+in one batch) and :class:`SystolicXorMachine` agree on the XOR result,
+and that the systolic engines report identical per-row iteration counts
+(the sequential merge counts merge-loop passes, a different clock — it
+is held to result agreement only).
 """
 
 import numpy as np
@@ -16,7 +16,6 @@ from repro.core.batched import BatchedXorEngine
 from repro.core.machine import SystolicXorMachine
 from repro.core.options import DiffOptions
 from repro.core.sequential import sequential_xor
-from repro.core.vectorized import VectorizedXorEngine
 
 N_RANDOM_PAIRS = 500
 SEED = 20260806
@@ -77,19 +76,19 @@ class TestAllEnginesAgree:
         rows_b = [b for _, b in ALL_PAIRS]
         batched = BatchedXorEngine().diff_rows(rows_a, rows_b)
         machine = SystolicXorMachine()
-        vec = VectorizedXorEngine()
+        lane = BatchedXorEngine()
         for (a, b), bat in zip(ALL_PAIRS, batched):
             oracle = xor_rows(a, b)
             ref = machine.diff(a, b)
-            v = vec.diff(a, b)
+            one = lane.diff(a, b)
             seq = sequential_xor(a, b)
             # one result, five ways
             assert ref.result.same_pixels(oracle)
-            assert v.result == ref.result
+            assert one.result == ref.result
             assert bat.result == ref.result
             assert seq.result.same_pixels(oracle)
-            # one systolic clock, three engines
-            assert v.iterations == ref.iterations
+            # one systolic clock: the cell machine, a lane, a batch
+            assert one.iterations == ref.iterations
             assert bat.iterations == ref.iterations
 
     def test_exact_bound_case_hits_k1_plus_k2(self):
@@ -132,11 +131,11 @@ class TestAllEnginesAgree:
             [a for a, _ in sample], [b for _, b in sample]
         )
         machine = SystolicXorMachine()
-        vec = VectorizedXorEngine()
+        lane = BatchedXorEngine()
         for (a, b), bat in zip(sample, batched):
             ref = machine.diff(a, b)
             assert bat.stats.as_dict() == ref.stats.as_dict()
-            assert vec.diff(a, b).stats.as_dict() == ref.stats.as_dict()
+            assert lane.diff(a, b).stats.as_dict() == ref.stats.as_dict()
 
 
 # TestAllEnginesAgree runs whichever step kernel the loader provides (the

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 
 from repro.rle.ops import xor_rows
+from repro.core.batched import BatchedXorEngine
 from repro.core.machine import SystolicXorMachine
 from repro.core.sequential import sequential_xor
-from repro.core.vectorized import VectorizedXorEngine
 from repro.broadcast.bus_machine import BusXorMachine
 from tests.conftest import rle_rows
 
@@ -32,9 +32,9 @@ def test_all_engines_handle_fragmented_inputs(row_a, row_b):
     assert ref.result.same_pixels(expected)
     assert ref.iterations <= a.run_count + b.run_count  # Theorem 1 still holds
 
-    vec = VectorizedXorEngine().diff(a, b)
-    assert vec.result == ref.result
-    assert vec.iterations == ref.iterations
+    bat = BatchedXorEngine().diff(a, b)
+    assert bat.result == ref.result
+    assert bat.iterations == ref.iterations
 
     seq = sequential_xor(a, b)
     assert seq.result.same_pixels(expected)
@@ -73,7 +73,7 @@ def test_observation_bound_can_fail_on_adjacent_inputs():
             [Run(p, 1) for run in base for p in run.pixels()], width=w
         )
         other = RLERow.from_bits(rng.random(w) < rng.random())
-        result = VectorizedXorEngine().diff(frag, other)
+        result = BatchedXorEngine().diff(frag, other)
         assert result.iterations <= frag.run_count + other.run_count
         if result.iterations > result.k3 + 1:
             exceeded = True

@@ -34,7 +34,7 @@ def small_images():
 
 class TestValidation:
     def test_engine_vocabulary(self):
-        assert ENGINE_NAMES == ("systolic", "vectorized", "batched", "sequential")
+        assert ENGINE_NAMES == ("systolic", "batched", "sequential")
         for name in ENGINE_NAMES:
             assert validate_engine(name) == name
 
@@ -114,7 +114,7 @@ class TestRemovedLegacySpellings:
     def test_legacy_kwarg_is_hard_error(self, paper_rows):
         a, b, _ = paper_rows
         with pytest.raises(OptionsError, match="row_diff.*engine"):
-            row_diff(a, b, engine="vectorized")
+            row_diff(a, b, engine="batched")
 
     def test_error_names_every_offending_kwarg(self, paper_rows):
         a, b, _ = paper_rows
@@ -124,7 +124,7 @@ class TestRemovedLegacySpellings:
     def test_error_points_at_the_replacement(self, paper_rows):
         a, b, _ = paper_rows
         with pytest.raises(OptionsError, match=r"DiffOptions\(.*docs/API\.md"):
-            row_diff(a, b, engine="vectorized")
+            row_diff(a, b, engine="batched")
 
     def test_bare_engine_string_is_hard_error(self, paper_rows):
         a, b, _ = paper_rows
@@ -151,7 +151,7 @@ class TestRemovedLegacySpellings:
     def test_diff_images_legacy_kwargs_hard_error(self):
         image_a, image_b = small_images()
         with pytest.raises(OptionsError, match="diff_images"):
-            diff_images(image_a, image_b, engine="vectorized")
+            diff_images(image_a, image_b, engine="batched")
 
     def test_parallel_legacy_kwargs_hard_error(self):
         image_a, image_b = small_images()

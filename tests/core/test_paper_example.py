@@ -6,9 +6,9 @@ from the published execution — not just the final answer — fails here.
 
 from repro.rle.ops import xor_rows
 from repro.rle.row import RLERow
+from repro.core.batched import BatchedXorEngine
 from repro.core.machine import SystolicXorMachine
 from repro.core.sequential import sequential_xor
-from repro.core.vectorized import VectorizedXorEngine
 from tests.conftest import PAPER_ROW_1, PAPER_ROW_2, PAPER_WIDTH, PAPER_XOR
 
 
@@ -37,9 +37,9 @@ class TestFigure1:
         result = SystolicXorMachine().diff(a, b)
         assert result.result.to_pairs() == PAPER_XOR
 
-    def test_vectorized_xor(self):
+    def test_batched_xor(self):
         a, b = rows()
-        assert VectorizedXorEngine().diff(a, b).result.to_pairs() == PAPER_XOR
+        assert BatchedXorEngine().diff(a, b).result.to_pairs() == PAPER_XOR
 
 
 class TestFigure3Trace:

@@ -24,7 +24,7 @@ def images(seed=0, h=32, w=128):
 class TestEquivalenceWithSerial:
     def test_same_image_and_iterations(self):
         a, b = images(1)
-        serial = diff_images(a, b, options=DiffOptions(engine="vectorized"))
+        serial = diff_images(a, b, options=DiffOptions(engine="batched"))
         parallel = parallel_diff_images(a, b, workers=2)
         assert parallel.image == serial.image
         assert parallel.total_iterations == serial.total_iterations
@@ -35,7 +35,7 @@ class TestEquivalenceWithSerial:
     def test_raw_output_mode(self):
         a, b = images(2)
         serial = diff_images(
-            a, b, options=DiffOptions(engine="vectorized", canonical=False)
+            a, b, options=DiffOptions(engine="batched", canonical=False)
         )
         parallel = parallel_diff_images(
             a, b, workers=2, options=DiffOptions(canonical=False)
@@ -45,7 +45,7 @@ class TestEquivalenceWithSerial:
     def test_odd_chunking(self):
         a, b = images(3, h=17)
         parallel = parallel_diff_images(a, b, workers=2, chunk_rows=5)
-        serial = diff_images(a, b, options=DiffOptions(engine="vectorized"))
+        serial = diff_images(a, b, options=DiffOptions(engine="batched"))
         assert parallel.image == serial.image
 
     def test_single_worker_short_circuits(self):
@@ -53,7 +53,7 @@ class TestEquivalenceWithSerial:
         result = parallel_diff_images(a, b, workers=1)
         assert (
             result.image
-            == diff_images(a, b, options=DiffOptions(engine="vectorized")).image
+            == diff_images(a, b, options=DiffOptions(engine="batched")).image
         )
 
     def test_stats_match_serial(self):
@@ -61,7 +61,7 @@ class TestEquivalenceWithSerial:
         so the reassembled results carried empty counters and
         ``ImageDiffResult.stats`` silently reported all zeros."""
         a, b = images(7)
-        serial = diff_images(a, b, options=DiffOptions(engine="vectorized"))
+        serial = diff_images(a, b, options=DiffOptions(engine="batched"))
         parallel = parallel_diff_images(a, b, workers=2)
         assert parallel.stats.as_dict() == serial.stats.as_dict()
         assert parallel.stats.as_dict() != {}  # the counters really fired
@@ -144,7 +144,7 @@ class TestOptionsPassThrough:
     """The pool honours the full DiffOptions bundle instead of
     hard-coding the batched engine and dropping n_cells/probe."""
 
-    @pytest.mark.parametrize("engine", ["systolic", "vectorized", "sequential"])
+    @pytest.mark.parametrize("engine", ["systolic", "sequential"])
     def test_requested_engine_runs_in_workers(self, engine):
         from repro.core.options import DiffOptions
 
@@ -159,6 +159,40 @@ class TestOptionsPassThrough:
         assert [r.n_cells for r in parallel.row_results] == [
             r.n_cells for r in serial.row_results
         ]
+
+    def test_paranoid_checks_run_in_workers(self, monkeypatch):
+        """The chunk workers honour ``paranoid``: one checker per row,
+        exactly as the serial path builds them (chunks run in-process
+        here, so the spy sees them)."""
+        from repro.core import invariants, parallel
+        from repro.core.options import DiffOptions
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                pass
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        built = []
+        checker = invariants.ParanoidChecker
+
+        def spy(*args, **kwargs):
+            built.append(args)
+            return checker(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(invariants, "ParanoidChecker", spy)
+        a, b = images(16, h=4, w=64)
+        opts = DiffOptions(engine="systolic", paranoid=True)
+        parallel_diff_images(a, b, workers=2, chunk_rows=1, options=opts)
+        assert len(built) == a.height
 
     def test_n_cells_reaches_workers(self):
         from repro.core.options import DiffOptions
@@ -178,7 +212,7 @@ class TestOptionsPassThrough:
             )
         # the pre-1.1 bare-string spelling is a typed hard error now
         with pytest.raises(OptionsError):
-            parallel_diff_images(a, b, workers=2, options="vectorized")
+            parallel_diff_images(a, b, workers=2, options="batched")
 
     def test_probe_samples_replayed_from_workers(self):
         from repro.core.options import DiffOptions

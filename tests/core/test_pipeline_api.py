@@ -30,7 +30,7 @@ class TestRowDiff:
         self.b = RLERow.from_bits(rng.random(200) < 0.3)
         self.expected = self.a.to_bits() ^ self.b.to_bits()
 
-    @pytest.mark.parametrize("engine", ["systolic", "vectorized", "sequential"])
+    @pytest.mark.parametrize("engine", ["systolic", "batched", "sequential"])
     def test_engines_agree_on_pixels(self, engine):
         result = row_diff(self.a, self.b, options=DiffOptions(engine=engine))
         assert (result.result.to_bits(200) == self.expected).all()
@@ -62,11 +62,18 @@ class TestRowDiff:
 
 
 class TestImageDiff:
-    @pytest.mark.parametrize("engine", ["systolic", "vectorized", "sequential"])
+    @pytest.mark.parametrize("engine", ["systolic", "batched", "sequential"])
     def test_engines_agree(self, engine):
         a, b = random_images(2)
         out = image_diff(a, b, options=DiffOptions(engine=engine))
         assert (out.image.to_array() == (a.to_array() ^ b.to_array())).all()
+
+    def test_trace_flag_reaches_every_row(self):
+        a, b = random_images(6, h=4)
+        out = diff_images(
+            a, b, options=DiffOptions(engine="systolic", record_trace=True)
+        )
+        assert all(r.trace is not None for r in out.row_results)
 
     def test_shape_mismatch(self):
         a, _ = random_images(3)

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from repro.rle.metrics import run_count_difference
 from repro.rle.ops import xor_rows
 from repro.rle.row import RLERow
+from repro.core.batched import BatchedXorEngine
 from repro.core.machine import SystolicXorMachine
 from repro.core.sequential import sequential_xor
-from repro.core.vectorized import VectorizedXorEngine
 from tests.conftest import row_pairs, similar_row_pairs
 
 
@@ -23,7 +23,7 @@ class TestFourWayAgreement:
         w = a.width
         assert (xor_rows(a, b).to_bits(w) == oracle).all()
         assert (sequential_xor(a, b).result.to_bits(w) == oracle).all()
-        assert (VectorizedXorEngine().diff(a, b).result.to_bits(w) == oracle).all()
+        assert (BatchedXorEngine().diff(a, b).result.to_bits(w) == oracle).all()
         assert (SystolicXorMachine().diff(a, b).result.to_bits(w) == oracle).all()
 
 
@@ -32,7 +32,7 @@ class TestPaperBounds:
     @settings(max_examples=80)
     def test_theorem_1_bound(self, pair):
         a, b = pair
-        result = VectorizedXorEngine().diff(a, b)
+        result = BatchedXorEngine().diff(a, b)
         assert result.iterations <= a.run_count + b.run_count
 
     @given(row_pairs())
@@ -41,7 +41,7 @@ class TestPaperBounds:
         """The paper's unproven Observation, checked on canonical inputs:
         iterations <= (runs in the raw systolic output) + 1."""
         a, b = pair
-        result = VectorizedXorEngine().diff(a, b)
+        result = BatchedXorEngine().diff(a, b)
         assert result.iterations <= result.k3 + 1
 
     @given(similar_row_pairs())
@@ -51,7 +51,7 @@ class TestPaperBounds:
         stays near the k3+1 bound — far below k1+k2 whenever the rows
         carry many runs (the headline claim)."""
         a, b = pair
-        result = VectorizedXorEngine().diff(a, b)
+        result = BatchedXorEngine().diff(a, b)
         assert result.iterations <= result.k3 + 1
 
     @given(similar_row_pairs())
@@ -62,7 +62,7 @@ class TestPaperBounds:
         the tail-ripple is at least the run-count difference whenever
         any shift happens)."""
         a, b = pair
-        result = VectorizedXorEngine().diff(a, b)
+        result = BatchedXorEngine().diff(a, b)
         if result.iterations > 0:
             assert run_count_difference(a, b) <= result.iterations + result.k3
 
@@ -72,7 +72,7 @@ class TestPaperBounds:
         """"the XOR operation can clearly not produce more than 2k runs"
         — i.e. never more than k1 + k2 runs in the raw output."""
         a, b = pair
-        result = VectorizedXorEngine().diff(a, b)
+        result = BatchedXorEngine().diff(a, b)
         assert result.result.run_count <= a.run_count + b.run_count
 
 
@@ -82,7 +82,7 @@ class TestStructuralGuarantees:
     def test_result_sorted_disjoint(self, pair):
         """Theorem 2 as an output property: the extracted runs are
         strictly ordered and non-overlapping."""
-        result = VectorizedXorEngine().diff(*pair).result
+        result = BatchedXorEngine().diff(*pair).result
         for r1, r2 in zip(result.runs, result.runs[1:]):
             assert r1.end < r2.start
 
@@ -96,7 +96,7 @@ class TestStructuralGuarantees:
     @settings(max_examples=40)
     def test_iterations_zero_iff_no_big_runs(self, pair):
         a, b = pair
-        result = VectorizedXorEngine().diff(a, b)
+        result = BatchedXorEngine().diff(a, b)
         if b.run_count == 0:
             assert result.iterations == 0
         if result.iterations == 0:
@@ -111,7 +111,7 @@ class TestAdversarialPatterns:
         w = 120
         a = RLERow.from_pairs([(i, 1) for i in range(0, w, 2)], width=w)
         b = RLERow.from_pairs([(i, 1) for i in range(1, w, 2)], width=w)
-        result = VectorizedXorEngine().diff(a, b)
+        result = BatchedXorEngine().diff(a, b)
         assert result.result.same_pixels(xor_rows(a, b))
         assert result.iterations <= a.run_count + b.run_count
 

@@ -1,7 +1,7 @@
 """Hypothesis stateful test: both engines driven in lockstep.
 
 A rule-based state machine interleaves loads, steps and extractions on
-the reference cell machine and the vectorized engine simultaneously,
+the reference cell machine and a one-lane batched engine simultaneously,
 asserting snapshot equality after every transition — the strongest form
 of the cross-engine equivalence claim, because hypothesis explores
 *sequences* of operations (reload mid-run, early extraction, repeated
@@ -20,8 +20,8 @@ from hypothesis.stateful import (
 
 from repro.rle.ops import xor_rows
 from repro.rle.row import RLERow
+from repro.core.batched import BatchedXorEngine
 from repro.core.machine import SystolicXorMachine, extract_result
-from repro.core.vectorized import VectorizedXorEngine
 
 
 class EnginesInLockstep(RuleBasedStateMachine):
@@ -29,7 +29,7 @@ class EnginesInLockstep(RuleBasedStateMachine):
         super().__init__()
         self.machine = SystolicXorMachine()
         self.array = None
-        self.engine = VectorizedXorEngine()
+        self.engine = BatchedXorEngine()
         self.row_a = None
         self.row_b = None
 
@@ -46,7 +46,7 @@ class EnginesInLockstep(RuleBasedStateMachine):
         self.row_a = RLERow.from_bits(rng.random(width) < da)
         self.row_b = RLERow.from_bits(rng.random(width) < db)
         self.array, _ = self.machine.build_array(self.row_a, self.row_b)
-        self.engine.load(self.row_a, self.row_b)
+        self.engine.load([self.row_a], [self.row_b])
 
     @precondition(lambda self: self.array is not None and not self.engine.is_done)
     @rule(steps=st.integers(1, 4))
@@ -65,16 +65,16 @@ class EnginesInLockstep(RuleBasedStateMachine):
             self.array.step()
             self.engine.step()
         result_ref = extract_result(self.array, width=self.row_a.width)
-        result_vec = self.engine.extract(width=self.row_a.width)
-        assert result_ref == result_vec
-        assert result_vec.same_pixels(xor_rows(self.row_a, self.row_b))
-        assert self.engine.iterations <= self.row_a.run_count + self.row_b.run_count
+        result_lane = self.engine.extract(0, width=self.row_a.width)
+        assert result_ref == result_lane
+        assert result_lane.same_pixels(xor_rows(self.row_a, self.row_b))
+        assert self.engine.iterations[0] <= self.row_a.run_count + self.row_b.run_count
 
     # ------------------------------------------------------------------ #
     @invariant()
     def snapshots_agree(self):
         if self.array is not None:
-            assert self.array.snapshot() == self.engine.snapshot()
+            assert self.array.snapshot() == self.engine.snapshot(0)
 
     @invariant()
     def termination_votes_agree(self):

@@ -5,13 +5,13 @@ import pytest
 
 from repro.errors import GeometryError, SystolicError
 from repro.rle.image import RLEImage
+from repro.core.batched import BatchedXorEngine
 from repro.core.timing import (
     PipelineTiming,
     RowPhases,
     measure_row_phases,
     pipeline_timing,
 )
-from repro.core.vectorized import VectorizedXorEngine
 
 
 def images(seed=0, h=16, w=96, errors=4):
@@ -62,13 +62,13 @@ class TestMeasurement:
             measure_row_phases(a, b, ports=0)
 
     def test_phase_costs_engine_independent(self):
-        """``measure_row_phases`` computes on the batched engine; a
-        hand-rolled per-row vectorized sweep must derive identical
+        """``measure_row_phases`` computes the whole image as one batch;
+        a hand-rolled sweep of one-lane batches must derive identical
         load/compute/drain costs (phase costs are properties of the
         inputs and the algorithm, not of the simulation strategy)."""
         a, b = images(8)
         measured = measure_row_phases(a, b, ports=2)
-        engine = VectorizedXorEngine(collect_stats=False)
+        engine = BatchedXorEngine(collect_stats=False)
         for i, (ra, rb) in enumerate(zip(a, b)):
             result = engine.diff(ra, rb)
             expect_load = -(-max(ra.run_count, rb.run_count) // 2)

@@ -73,7 +73,7 @@ class TestPCBScenario:
     def test_parallel_diff_agrees_with_serial(self, pair):
         reference, scan = pair
         serial = image_diff(
-            reference, scan, options=DiffOptions(engine="vectorized")
+            reference, scan, options=DiffOptions(engine="batched")
         )
         parallel = parallel_diff_images(reference, scan, workers=2)
         assert parallel.image == serial.image
@@ -159,7 +159,7 @@ class TestCrossEngineOnApplications:
     def test_three_engines_agree(self, name):
         a, b = get_image_workload(name).make()
         oracle = a.to_array() ^ b.to_array()
-        for engine in ("vectorized", "sequential"):
+        for engine in ("batched", "sequential"):
             out = image_diff(a, b, options=DiffOptions(engine=engine))
             assert (out.image.to_array() == oracle).all(), (name, engine)
         # the cell machine is slow; spot-check the busiest row

@@ -12,7 +12,6 @@ from repro.obs.schema import validate_profile_json
 from repro.rle.image import RLEImage
 from repro.rle.row import RLERow
 from repro.core.batched import BatchedXorEngine
-from repro.core.vectorized import VectorizedXorEngine
 
 
 def images(seed=0, h=8, w=96):
@@ -93,13 +92,11 @@ class TestBatchedProbe:
         assert [r.result for r in probed] == [r.result for r in plain]
         assert [r.iterations for r in probed] == [r.iterations for r in plain]
 
-
-class TestVectorizedProbe:
     def test_single_lane_semantics(self):
         a = RLERow.from_pairs([(0, 2), (5, 3), (10, 2)], width=16)
         b = RLERow.from_pairs([(1, 2), (7, 3)], width=16)
         probe = EngineProfiler()
-        result = VectorizedXorEngine(probe=probe).diff(a, b)
+        result = BatchedXorEngine(probe=probe).diff(a, b)
         assert probe.iterations == result.iterations
         validate_profile_json(probe.to_dict())
         for sample in probe.samples[:-1]:

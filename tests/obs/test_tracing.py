@@ -188,7 +188,7 @@ class TestEngineWiring:
         a, b = self._images(np_rng)
         tracer = Tracer()
         result = diff_images(
-            a, b, options=DiffOptions(engine="vectorized", tracer=tracer)
+            a, b, options=DiffOptions(engine="systolic", tracer=tracer)
         )
         doc = tracer.to_chrome_trace()
         validate_nested(doc, "image_diff", "row")
@@ -205,11 +205,11 @@ class TestEngineWiring:
         b = RLERow.from_pairs([(1, 2), (8, 2)], width=12)
         tracer = Tracer()
         result = row_diff(
-            a, b, options=DiffOptions(engine="vectorized", tracer=tracer)
+            a, b, options=DiffOptions(engine="batched", tracer=tracer)
         )
         assert (
             result.result
-            == row_diff(a, b, options=DiffOptions(engine="vectorized")).result
+            == row_diff(a, b, options=DiffOptions(engine="batched")).result
         )
         span = next(s for s in tracer.spans if s.name == "row_diff")
         assert span.attributes["iterations"] == result.iterations

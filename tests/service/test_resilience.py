@@ -685,6 +685,25 @@ class TestValidateResult:
         [result] = compute_row_diffs(OPTS, [a], [b])
         validate_result(OPTS, a, b, result)
 
+    def test_sequential_engine_served_behind_resilience(self):
+        """The sequential merge builds no array and reports ``n_cells``
+        0; the result check accepts that for it alone, so the resilient
+        service and a sharded worker (which runs one) both serve it."""
+        from dataclasses import replace
+
+        from repro.service import ShardedDiffService
+
+        sequential = DiffOptions(engine="sequential")
+        [result] = compute_row_diffs(OPTS, [ROW_A], [ROW_B])
+        with pytest.raises(CorruptResultError):
+            validate_result(OPTS, ROW_A, ROW_B, replace(result, n_cells=0))
+        a, b = make_images()
+        expected = diff_images(a, b, options=sequential)
+        with ResilientDiffService(sequential) as service:
+            assert service.diff_images(a, b).image == expected.image
+        with ShardedDiffService(sequential, workers=1) as service:
+            assert service.diff_images(a, b).image == expected.image
+
     @given(st.integers(0, 2))
     @settings(max_examples=3, deadline=None)
     def test_rejects_every_corruption_flavour(self, flavour):
