@@ -30,9 +30,9 @@ The rules encode the repository's correctness conventions as checks:
 
 ``RLE005`` no-mutable-shared-state
     Mutable default arguments, and module-level mutable literals bound
-    to lowercase names, are banned: ``core/parallel.py``-style worker
-    code forks the interpreter, and mutable module state silently
-    diverges between parent and workers.  Dunder names (``__all__``)
+    to lowercase names, are banned: the shard workers of
+    ``service/shard.py`` are forked from the front-end, and mutable
+    module state silently diverges between parent and workers.  Dunder names (``__all__``)
     and ``UPPER_CASE`` constants-by-convention are exempt.
 """
 

@@ -4,10 +4,9 @@ Most users want one call: *give me the difference of these two rows (or
 images) and tell me how long the systolic array took*.  These wrappers
 select an engine and normalize the result type.
 
-Every entry point accepts one :class:`~repro.core.options.DiffOptions`
-bundle (``row_diff(a, b, options=DiffOptions(engine="batched"))``); the
-pre-``DiffOptions`` keyword arguments keep working through the
-deprecation shim (see ``docs/API.md`` for the policy).
+Every entry point takes its inputs plus one
+:class:`~repro.core.options.DiffOptions` bundle
+(``row_diff(a, b, DiffOptions(engine="batched"))``); see ``docs/API.md``.
 
 Engines
 -------
@@ -24,13 +23,13 @@ Engines
     The paper's software baseline (no systolic hardware at all).
 
 :func:`diff_rows` is the one place an engine name becomes a simulator;
-every entry point (rows, images, the process pool, the service layer)
-runs through it.
+every entry point (rows, images, the service layer and its shard
+workers) runs through it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 from repro.rle.image import RLEImage
 from repro.rle.row import RLERow
@@ -42,16 +41,13 @@ from repro.core.options import (
     ROW_DEFAULTS,
     DiffOptions,
     EngineName,
-    resolve_options,
+    checked_options,
     validate_engine,
 )
 from repro.core.sequential import sequential_xor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.pipeline import ImageDiffResult
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.profile import EngineProfiler
-    from repro.obs.tracing import Tracer
 
 __all__ = [
     "row_diff",
@@ -119,27 +115,15 @@ def _sequential_diff(row_a: RLERow, row_b: RLERow) -> XorRunResult:
 
 
 def row_diff(
-    row_a: RLERow,
-    row_b: RLERow,
-    options: Union[DiffOptions, str, None] = None,
-    *,
-    engine: Optional[EngineName] = None,
-    paranoid: Optional[bool] = None,
-    record_trace: Optional[bool] = None,
-    n_cells: Optional[int] = None,
-    tracer: "Optional[Tracer]" = None,
-    metrics: "Optional[MetricsRegistry]" = None,
-    probe: "Optional[EngineProfiler]" = None,
+    row_a: RLERow, row_b: RLERow, options: Optional[DiffOptions] = None
 ) -> XorRunResult:
     """Difference (XOR) of two RLE rows.
 
     Pass ``options`` (a :class:`DiffOptions`) to configure the run; with
     no options the historical defaults apply (reference ``"systolic"``
-    engine, per-row sizing).  The individual keyword arguments are the
-    *removed* pre-1.1 spellings — kept in the signature purely so a
-    stale call site raises a typed
-    :class:`~repro.errors.OptionsError` naming the replacement instead
-    of an opaque ``TypeError`` (see ``docs/API.md`` and CHANGELOG.md).
+    engine, per-row sizing).  Anything else in the ``options`` position
+    raises a typed :class:`~repro.errors.OptionsError`
+    (:func:`~repro.core.options.checked_options`).
 
     Returns a :class:`~repro.core.machine.XorRunResult` whatever the
     engine, so callers can swap engines without touching downstream
@@ -151,20 +135,7 @@ def row_diff(
     convergence on the batched engine; all ``None`` by default, which
     costs the hot path nothing.
     """
-    opts = resolve_options(
-        options,
-        {
-            "engine": engine,
-            "paranoid": paranoid,
-            "record_trace": record_trace,
-            "n_cells": n_cells,
-            "tracer": tracer,
-            "metrics": metrics,
-            "probe": probe,
-        },
-        ROW_DEFAULTS,
-        "row_diff",
-    )
+    opts = checked_options(options, ROW_DEFAULTS, "row_diff")
     if opts.tracer is None:
         result = diff_rows([row_a], [row_b], opts)[0]
     else:
@@ -184,16 +155,7 @@ def row_diff(
 
 
 def image_diff(
-    image_a: RLEImage,
-    image_b: RLEImage,
-    options: Union[DiffOptions, str, None] = None,
-    *,
-    engine: Optional[EngineName] = None,
-    canonical: Optional[bool] = None,
-    n_cells: Optional[int] = None,
-    tracer: "Optional[Tracer]" = None,
-    metrics: "Optional[MetricsRegistry]" = None,
-    probe: "Optional[EngineProfiler]" = None,
+    image_a: RLEImage, image_b: RLEImage, options: Optional[DiffOptions] = None
 ) -> "ImageDiffResult":
     """Difference of two whole images.
 
@@ -203,27 +165,14 @@ def image_diff(
     returned :class:`~repro.core.pipeline.ImageDiffResult` (which
     carries per-row iteration counts — the quantity the paper reports).
 
-    Configuration comes in one :class:`DiffOptions` bundle; the
-    individual keyword arguments are the removed pre-1.1 spellings and
-    raise a typed :class:`~repro.errors.OptionsError` when passed.
-    ``options.tracer``, ``options.metrics`` and
-    ``options.probe`` hook the run into the :mod:`repro.obs`
-    observability layer; all default to ``None``, which costs the hot
-    path nothing.
+    Configuration comes in one :class:`DiffOptions` bundle (checked by
+    :func:`~repro.core.options.checked_options`).  ``options.tracer``,
+    ``options.metrics`` and ``options.probe`` hook the run into the
+    :mod:`repro.obs` observability layer; all default to ``None``, which
+    costs the hot path nothing.
     """
     from repro.core.pipeline import diff_images
 
-    opts = resolve_options(
-        options,
-        {
-            "engine": engine,
-            "canonical": canonical,
-            "n_cells": n_cells,
-            "tracer": tracer,
-            "metrics": metrics,
-            "probe": probe,
-        },
-        IMAGE_DEFAULTS,
-        "image_diff",
+    return diff_images(
+        image_a, image_b, checked_options(options, IMAGE_DEFAULTS, "image_diff")
     )
-    return diff_images(image_a, image_b, options=opts)

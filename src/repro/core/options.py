@@ -3,22 +3,25 @@
 Three PRs of feature growth left the public entry points with drifted
 signatures: :func:`repro.core.api.row_diff` grew ``paranoid`` and
 ``record_trace``, :func:`repro.core.pipeline.diff_images` grew
-``canonical`` and the observability handles, and
-:func:`repro.core.parallel.parallel_diff_images` hard-coded the batched
-engine and silently dropped the rest.  Every new capability had to pick
-one signature to land on, and callers could not move between entry
-points without rewriting their keyword soup.
+``canonical`` and the observability handles, and the old process-pool
+entry point hard-coded the batched engine and silently dropped the
+rest.  Every new capability had to pick one signature to land on, and
+callers could not move between entry points without rewriting their
+keyword soup.
 
 :class:`DiffOptions` is the fix: a frozen, validated bundle of every
 knob the differencing stack understands, accepted uniformly by
-``row_diff``, ``diff_images``, ``parallel_diff_images`` and the
-:class:`repro.service.DiffService` request layer.  The pre-1.1 keyword
-spellings went through a full deprecation cycle (``DeprecationWarning``
-since the options landed) and are now a **hard error**:
-:func:`resolve_options` raises a typed
-:class:`~repro.errors.OptionsError` naming the offending keywords and
-the replacement, so a stale call site fails loudly at the boundary
-instead of silently drifting (see ``docs/API.md`` and CHANGELOG.md).
+``row_diff``, ``image_diff``, ``diff_images`` and the service
+constructors (:class:`repro.service.DiffService`,
+``ResilientDiffService``, ``ShardedDiffService``).  Each of them takes
+its inputs plus ``options`` and passes that through
+:func:`checked_options`, the one boundary check: ``None`` means the
+entry point's defaults, and anything that is not a :class:`DiffOptions`
+(notably the engine as a bare string, a pre-1.1 spelling) raises a
+typed :class:`~repro.errors.OptionsError` naming the replacement.  The
+pre-1.1 keyword parameters are gone from the signatures, so a stale
+keyword gets Python's own ``TypeError`` (see ``docs/API.md`` and
+CHANGELOG.md).
 
 Engine names are validated *here*, at construction / coercion time, so
 an unknown engine raises :class:`~repro.errors.UnknownEngineError` at
@@ -29,17 +32,7 @@ an engine loop.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Literal,
-    Mapping,
-    Optional,
-    Tuple,
-    Union,
-    cast,
-    get_args,
-)
+from typing import TYPE_CHECKING, Any, Literal, Optional, Tuple, cast, get_args
 
 from repro.errors import CapacityError, OptionsError, UnknownEngineError
 
@@ -47,7 +40,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.profile import EngineProfiler
     from repro.obs.tracing import Tracer
-    from repro.service.resilience import ResiliencePolicy
 
 __all__ = [
     "EngineName",
@@ -56,7 +48,7 @@ __all__ = [
     "DiffOptions",
     "ROW_DEFAULTS",
     "IMAGE_DEFAULTS",
-    "resolve_options",
+    "checked_options",
 ]
 
 #: The engine vocabulary (:func:`repro.core.api.diff_rows` maps each
@@ -118,13 +110,6 @@ class DiffOptions:
     #: Optional :class:`repro.obs.profile.EngineProfiler` convergence
     #: probe (batched engine only).
     probe: "Optional[EngineProfiler]" = None
-    #: Optional :class:`repro.service.resilience.ResiliencePolicy` —
-    #: deadlines, retries, breaker thresholds and degraded modes for the
-    #: service layer.  Read by
-    #: :class:`repro.service.resilience.ResilientDiffService` at
-    #: construction; like the observability handles it never changes a
-    #: computed result, so it is excluded from :meth:`cache_key`.
-    resilience: "Optional[ResiliencePolicy]" = None
     #: Directory of the persistent disk tier under the service cache
     #: (:class:`repro.service.store.RowStore`), or ``None`` for RAM-only
     #: caching.  Deployment plumbing, not semantics: where a result is
@@ -167,17 +152,11 @@ class DiffOptions:
         return replace(self, **changes)
 
     def without_observability(self) -> "DiffOptions":
-        """A copy with all non-semantic handles detached
-        (instrumentation *and* the resilience policy) — what the
+        """A copy with the instrumentation handles detached — what the
         service layer stores alongside cached results."""
-        if (
-            self.tracer is None
-            and self.metrics is None
-            and self.probe is None
-            and self.resilience is None
-        ):
+        if self.tracer is None and self.metrics is None and self.probe is None:
             return self
-        return replace(self, tracer=None, metrics=None, probe=None, resilience=None)
+        return replace(self, tracer=None, metrics=None, probe=None)
 
 
 #: Defaults preserved from the pre-``DiffOptions`` signatures:
@@ -187,40 +166,23 @@ ROW_DEFAULTS = DiffOptions(engine="systolic")
 IMAGE_DEFAULTS = DiffOptions(engine="batched")
 
 
-def resolve_options(
-    options: Union[DiffOptions, str, None],
-    legacy: Mapping[str, Any],
-    defaults: DiffOptions,
-    caller: str,
+def checked_options(
+    options: Optional[DiffOptions], defaults: DiffOptions, caller: str
 ) -> DiffOptions:
-    """Coerce ``(options, legacy kwargs)`` to one validated
-    :class:`DiffOptions`.
+    """``options``, or the entry point's ``defaults`` when it is ``None``.
 
-    ``options`` must be a :class:`DiffOptions` or ``None`` (use
-    ``defaults``).  The entry points keep their pre-1.1 keyword
-    parameters (``legacy`` maps keyword names to values; ``None`` marks
-    keywords the caller did not pass) purely so stale call sites fail
-    with an actionable message: any passed legacy keyword — or a bare
-    engine name string in the ``options`` position — raises a typed
-    :class:`~repro.errors.OptionsError`.  The deprecation cycle is
-    documented in ``docs/API.md``; the break is noted in CHANGELOG.md.
+    The one boundary check every entry point runs: anything that is not
+    a :class:`DiffOptions` — notably the engine as a bare string, the
+    pre-1.1 spelling — raises a typed
+    :class:`~repro.errors.OptionsError` naming the replacement.
     """
-    given = {k: v for k, v in legacy.items() if v is not None}
-    positional_engine = isinstance(options, str)
-    if positional_engine:
-        given.setdefault("engine", options)
-        options = None
-    base = defaults if options is None else options
-    if not given:
-        return base
-    if positional_engine and len(given) == 1:
-        what = "passing the engine as a bare string was removed"
-    else:
-        what = (
-            f"keyword argument(s) {', '.join(sorted(given))} were removed"
+    if options is None:
+        return defaults
+    if not isinstance(options, DiffOptions):
+        raise OptionsError(
+            f"{caller}: options must be a DiffOptions or None, got "
+            f"{type(options).__name__} (the bare string engine spelling was "
+            f"removed in 1.1); pass options=DiffOptions(...) instead (see "
+            f"docs/API.md)"
         )
-    raise OptionsError(
-        f"{caller}: {what} in 1.1 after a deprecation cycle; pass "
-        f"options=DiffOptions(...) instead (see docs/API.md and "
-        f"CHANGELOG.md)"
-    )
+    return options

@@ -12,24 +12,14 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Union
+from typing import List, Optional
 
 from repro.errors import GeometryError
 from repro.rle.image import RLEImage
 from repro.core.api import diff_rows
 from repro.core.machine import XorRunResult
-from repro.core.options import (
-    IMAGE_DEFAULTS,
-    DiffOptions,
-    EngineName,
-    resolve_options,
-)
+from repro.core.options import IMAGE_DEFAULTS, DiffOptions, checked_options
 from repro.systolic.stats import ActivityStats
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.profile import EngineProfiler
-    from repro.obs.tracing import Tracer
 
 __all__ = ["ImageDiffResult", "diff_images"]
 
@@ -89,25 +79,13 @@ class ImageDiffResult:
 
 
 def diff_images(
-    image_a: RLEImage,
-    image_b: RLEImage,
-    options: Union[DiffOptions, str, None] = None,
-    *,
-    engine: Optional[EngineName] = None,
-    canonical: Optional[bool] = None,
-    n_cells: Optional[int] = None,
-    tracer: Optional["Tracer"] = None,
-    metrics: Optional["MetricsRegistry"] = None,
-    probe: Optional["EngineProfiler"] = None,
+    image_a: RLEImage, image_b: RLEImage, options: Optional[DiffOptions] = None
 ) -> ImageDiffResult:
     """Difference two equal-shape images.
 
     Configuration comes as one :class:`~repro.core.options.DiffOptions`
-    (``options=``); the individual keyword arguments are the removed
-    pre-1.1 spellings, kept in the signature purely so a stale call
-    site raises a typed :class:`~repro.errors.OptionsError` naming the
-    replacement instead of an opaque ``TypeError`` (see ``docs/API.md``
-    and CHANGELOG.md).  Unknown engine names are rejected at
+    (checked by :func:`~repro.core.options.checked_options`; ``None``
+    means the image defaults).  Unknown engine names are rejected at
     :class:`DiffOptions` construction with
     :class:`~repro.errors.UnknownEngineError` — never from deep inside
     dispatch.
@@ -141,19 +119,7 @@ def diff_images(
         Per-iteration invariant checks and a phase trace on every row
         (systolic engine only).
     """
-    opts = resolve_options(
-        options,
-        {
-            "engine": engine,
-            "canonical": canonical,
-            "n_cells": n_cells,
-            "tracer": tracer,
-            "metrics": metrics,
-            "probe": probe,
-        },
-        IMAGE_DEFAULTS,
-        "diff_images",
-    )
+    opts = checked_options(options, IMAGE_DEFAULTS, "diff_images")
     if image_a.shape != image_b.shape:
         raise GeometryError(f"image shapes differ: {image_a.shape} vs {image_b.shape}")
 

@@ -42,13 +42,16 @@ class UnknownEngineError(SystolicError):
 
 
 class OptionsError(ReproError):
-    """A pre-1.1 legacy options spelling was used.
+    """An options value the differencing entry points cannot use.
 
-    The individual keyword arguments (``engine=``, ``tracer=``, ...)
-    and the bare positional engine string were deprecated when
-    :class:`repro.core.options.DiffOptions` landed and are now a hard
-    error: pass ``options=DiffOptions(...)`` instead (see
-    ``docs/API.md`` and CHANGELOG.md for the migration)."""
+    Raised by :func:`repro.core.options.checked_options` when the
+    ``options`` position of ``row_diff``, ``image_diff``,
+    ``diff_images`` or a service constructor holds anything but a
+    :class:`repro.core.options.DiffOptions` or ``None`` — notably the
+    bare engine string removed in 1.1 — and by ``DiffOptions`` itself
+    for an invalid ``disk_budget``.  The pre-1.1 keyword arguments
+    (``engine=``, ``tracer=``, ...) are no longer parameters, so they
+    get Python's own ``TypeError`` (see ``docs/API.md``)."""
 
 
 class ServiceError(ReproError):
@@ -58,8 +61,8 @@ class ServiceError(ReproError):
 
 class ProtocolError(ServiceError):
     """A line-JSON wire request violated the protocol contract:
-    not valid JSON, not an object, an unknown ``op``, or an
-    unsupported protocol version ``v``.
+    not valid JSON, not an object, an unknown ``op``, an unsupported
+    protocol version ``v``, or a missing or malformed field.
 
     Raised (and returned typed over the socket) by
     :class:`repro.service.frontend.ShardedServer` so clients can
@@ -69,8 +72,8 @@ class ProtocolError(ServiceError):
     ``reason`` is the rejection's label on the server's
     ``repro_protocol_rejects_total`` counter (``line_too_long``,
     ``invalid_json``, ``nesting_too_deep``, ``not_object``,
-    ``unsupported_version``, ``unknown_op``, ``missing_field``); it
-    does not travel over the wire.
+    ``unsupported_version``, ``unknown_op``, ``missing_field``,
+    ``malformed_field``); it does not travel over the wire.
     """
 
     def __init__(self, message: str = "", reason: str = "unspecified") -> None:

@@ -18,10 +18,13 @@ Design constraints inherited from the rest of the repo:
 
 * **Picklable snapshots.**  :meth:`MetricsRegistry.snapshot` returns a
   :class:`MetricsSnapshot` built from frozen dataclasses of builtin
-  types, so :mod:`repro.core.parallel` workers can export their metrics
-  across the process boundary and the pool merges them
-  (:meth:`MetricsRegistry.merge_snapshot`) — totals match the serial
-  path exactly, which the equivalence tests assert.
+  types, so shard workers can export their metrics across the process
+  boundary and the front-end merges them
+  (:meth:`MetricsRegistry.merge_snapshot`, behind
+  :meth:`ShardedDiffService.merged_registry
+  <repro.service.frontend.ShardedDiffService.merged_registry>`) — the
+  recorded totals do not depend on how the rows were split, which the
+  equivalence tests assert.
 * **No ambient global registry.**  Registries are always passed
   explicitly (rule RLE005: module-level mutable state diverges silently
   between forked workers).
@@ -562,8 +565,11 @@ class MetricsRegistry:
         """Fold a (possibly remote) snapshot into this registry.
 
         Counters and histogram cells add; gauges take the snapshot's
-        value.  This is how :func:`repro.core.parallel.parallel_diff_images`
-        reassembles worker metrics — merged totals match the serial path.
+        value.  This is how
+        :meth:`ShardedDiffService.merged_registry
+        <repro.service.frontend.ShardedDiffService.merged_registry>`
+        reassembles worker metrics; merging the registries of row chunks
+        gives the totals of one whole-image run.
         """
         for fam in snap.families:
             family = self._register(
@@ -674,11 +680,12 @@ def _format_value(value: float) -> str:
 def record_image_diff(registry: MetricsRegistry, engine: str, row_results) -> None:
     """Record one image differencing run under the standard metric names.
 
-    Called by the serial pipeline and by every pool worker with the
-    *same* names and labels, so merged worker snapshots are directly
-    comparable to (and must equal) the serial registry.  Only quantities
-    that are invariant to chunking are recorded — ``n_cells`` depends on
-    the batch width, so it is deliberately absent.
+    Called by :func:`~repro.core.pipeline.diff_images` and
+    :func:`~repro.core.api.row_diff` with the *same* names and labels
+    for every run, so the merged snapshots of row chunks are directly
+    comparable to (and must equal) one whole-image registry.  Only
+    quantities that are invariant to chunking are recorded — ``n_cells``
+    depends on the batch width, so it is deliberately absent.
     """
     rows = registry.counter(
         "repro_rows_total", "image rows differenced", ("engine",)

@@ -2,7 +2,7 @@
 
 A :class:`Tracer` records nested, attributed spans around the hot
 operations — ``image_diff`` dispatch, the batched engine's step loop,
-``measure_row_phases``, pool worker chunks, and the inspection
+``measure_row_phases``, shard worker requests, and the inspection
 pipeline's align/diff/extract stages.  Finished spans export as JSONL
 (one object per line, grep-friendly) or as Chrome trace-event JSON
 (complete ``"X"`` events) that loads directly in Perfetto
@@ -23,15 +23,13 @@ Span taxonomy (see docs/OBSERVABILITY.md for the full catalogue):
 ``step``              one systolic iteration of a batch
 ``row``               one row diffed by a per-row engine loop
 ``measure_row_phases``  the timing model's measurement pass
-``parallel_diff``     one pool-parallel image diff (parent side)
-``chunk``             one worker chunk (duration measured in-worker)
 ``inspect`` / ``align`` / ``diff`` / ``extract``  inspection stages
 ====================  ================================================
 
 Tracers are single-process, single-threaded objects; worker processes
 measure durations locally and the parent re-records them via
-:meth:`Tracer.record_span`.  The sharded tier goes one step further:
-shard workers ship measured spans back inside their replies, the
+:meth:`Tracer.record_span`: shard workers ship measured spans back
+inside their replies, the
 front-end re-records them with ``lane=k+1`` (its own spans stay on lane
 0), and :class:`TraceStore` keeps the stitched per-request span sets the
 ``{"op": "trace"}`` server op serves — one request, one timeline, N
@@ -168,12 +166,11 @@ class Tracer:
     ) -> SpanRecord:
         """Record an already-measured span (ending now).
 
-        Pool workers time their chunks with a local clock; the parent
-        re-records the reported durations here so they appear on the
-        main trace timeline.  Cross-process callers (the sharded
-        front-end) pass ``lane`` to place the span on the originating
-        worker's track — only the duration crosses the wire, so clock
-        skew between processes never distorts the timeline.
+        Shard workers time their requests with a local clock; the
+        sharded front-end re-records the reported durations here, with
+        ``lane`` placing each span on the originating worker's track —
+        only the duration crosses the wire, so clock skew between
+        processes never distorts the timeline.
         """
         span_id = self._next_id
         self._next_id += 1

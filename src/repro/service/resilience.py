@@ -58,7 +58,6 @@ from typing import (
     Sequence,
     Tuple,
     Type,
-    Union,
 )
 
 from repro.errors import (
@@ -76,7 +75,7 @@ from repro.errors import (
 from repro.rle.image import RLEImage
 from repro.rle.row import RLERow
 from repro.core.machine import XorRunResult
-from repro.core.options import DiffOptions, IMAGE_DEFAULTS, resolve_options
+from repro.core.options import DiffOptions, IMAGE_DEFAULTS, checked_options
 from repro.core.pipeline import ImageDiffResult
 from repro.obs.log import StructuredLog
 from repro.service.batcher import (
@@ -131,9 +130,9 @@ class ResiliencePolicy:
     immutable, validated value (mirroring
     :class:`~repro.core.options.DiffOptions` for the semantic knobs).
 
-    Thread it explicitly to :class:`ResilientDiffService`, or attach it
-    to the options bundle via ``DiffOptions(resilience=...)`` — the
-    explicit argument wins.
+    Pass it as the ``policy`` argument of :class:`ResilientDiffService`
+    (or of :class:`~repro.service.frontend.ShardedDiffService`, which
+    hands it to every worker).
     """
 
     #: Per-request budget in seconds; ``None`` disables deadlines.
@@ -442,8 +441,7 @@ class ResilientDiffService:
     Parameters mirror :class:`~repro.service.DiffService`, plus:
 
     policy:
-        The :class:`ResiliencePolicy`; falls back to
-        ``options.resilience``, then to the defaults.
+        The :class:`ResiliencePolicy` (``None``: the defaults).
     compute:
         Innermost compute hook — pass a
         :class:`~repro.service.chaos.ChaosEngine` here to exercise the
@@ -462,7 +460,7 @@ class ResilientDiffService:
 
     def __init__(
         self,
-        options: Union[DiffOptions, str, None] = None,
+        options: Optional[DiffOptions] = None,
         policy: Optional[ResiliencePolicy] = None,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
         max_batch: int = DEFAULT_MAX_BATCH,
@@ -474,9 +472,7 @@ class ResilientDiffService:
         rng: Optional[random.Random] = None,
         log: Optional[StructuredLog] = None,
     ) -> None:
-        opts = resolve_options(options, {}, IMAGE_DEFAULTS, "ResilientDiffService")
-        if policy is None:
-            policy = opts.resilience
+        opts = checked_options(options, IMAGE_DEFAULTS, "ResilientDiffService")
         self.policy = policy if policy is not None else ResiliencePolicy()
         self._clock = clock
         self._sleep = sleep

@@ -32,13 +32,13 @@ Usage::
 from __future__ import annotations
 
 from concurrent.futures import Future
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import GeometryError
 from repro.rle.image import RLEImage
 from repro.rle.row import RLERow
 from repro.core.machine import XorRunResult
-from repro.core.options import IMAGE_DEFAULTS, DiffOptions, resolve_options
+from repro.core.options import IMAGE_DEFAULTS, DiffOptions, checked_options
 from repro.core.pipeline import ImageDiffResult
 from repro.obs.log import StructuredLog
 from repro.service.batcher import (
@@ -63,8 +63,10 @@ class DiffService:
     options:
         The :class:`~repro.core.options.DiffOptions` every request runs
         under (default: the image defaults — batched engine, automatic
-        sizing).  A bare engine-name string is accepted the same way the
-        functional API accepts one.  The ``metrics`` handle, if set, is
+        sizing); anything else raises
+        :class:`~repro.errors.OptionsError`, as the functional API does
+        (:func:`~repro.core.options.checked_options`).  The ``metrics``
+        handle, if set, is
         where the service's cache and batch metric families land; the
         other observability handles are stripped (results served from a
         shared cache cannot depend on one caller's tracer or probe —
@@ -113,7 +115,7 @@ class DiffService:
 
     def __init__(
         self,
-        options: Union[DiffOptions, str, None] = None,
+        options: Optional[DiffOptions] = None,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
         max_batch: int = DEFAULT_MAX_BATCH,
         max_latency: float = DEFAULT_MAX_LATENCY,
@@ -122,7 +124,7 @@ class DiffService:
         log: Optional[StructuredLog] = None,
         store_log: Optional[StructuredLog] = None,
     ) -> None:
-        opts = resolve_options(options, {}, IMAGE_DEFAULTS, "DiffService")
+        opts = checked_options(options, IMAGE_DEFAULTS, "DiffService")
         self.options = opts.without_observability()
         self.store: Optional[RowStore] = None
         if opts.cache_dir is not None and cache_bytes > 0:
@@ -155,13 +157,7 @@ class DiffService:
         # Request accounting is log-only at this tier: latency and SLO
         # metrics are recorded by the resilient and front-end tiers.
         self._lifecycle = RequestLifecycle(
-            "base",
-            log=log,
-            slo_seconds=(
-                opts.resilience.slo_seconds
-                if opts.resilience is not None
-                else DEFAULT_SLO_SECONDS
-            ),
+            "base", log=log, slo_seconds=DEFAULT_SLO_SECONDS
         )
 
     # ------------------------------------------------------------------ #

@@ -16,14 +16,14 @@ routing key.  Requests are placed on a consistent-hash ring keyed by
   virtual-node ring.
 
 Everything that crosses the process boundary is builtin-typed wire
-tuples, mirroring :mod:`repro.core.parallel`: rows travel as
+tuples: rows travel as
 ``(pairs, width)``, results as ``(pairs, width, iterations, k1, k2,
 n_cells, stats_items)``, and errors as ``(class_name, message)`` pairs
 rehydrated into the same typed :mod:`repro.errors` hierarchy on the
 other side — a worker's ``ServiceOverloadError`` (queue full, breaker
 open) is a ``ServiceOverloadError`` to the front-end's caller too.
-Metrics cross the boundary the same way they do in the process pool: a
-worker snapshots its private registry into a picklable
+Metrics cross the boundary as data too: a worker snapshots its private
+registry into a picklable
 :class:`~repro.obs.metrics.MetricsSnapshot` on demand and the front-end
 merges them (see :class:`repro.service.frontend.ShardedDiffService`).
 
@@ -196,7 +196,7 @@ class ShardRing:
 
 
 # --------------------------------------------------------------------- #
-# Wire codecs (builtin types only, mirroring repro.core.parallel)       #
+# Wire codecs (builtin types only)                                      #
 # --------------------------------------------------------------------- #
 def encode_options(options: DiffOptions) -> OptionsWire:
     """The semantic fields of ``options`` as a wire tuple (the

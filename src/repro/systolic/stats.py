@@ -18,9 +18,10 @@ the totals.  Counter names used by the XOR machine:
 
 Since the observability PR, :class:`ActivityStats` is a thin adapter
 over :class:`repro.obs.metrics.CounterBag` — the same dict-backed
-primitive the metrics registry's labelled counters use.  The bag is
-picklable, so :mod:`repro.core.parallel` workers ship their per-row
-stats back whole (``items()`` / :meth:`from_items`), and
+primitive the metrics registry's labelled counters use.  The bag
+round-trips through builtin tuples, so shard workers ship their per-row
+stats back whole (``items()`` / :meth:`from_items`, see
+:mod:`repro.service.shard`), and
 :func:`repro.obs.metrics.record_image_diff` republishes the totals as
 ``repro_activity_total{engine,counter}`` registry counters.
 """
@@ -39,7 +40,7 @@ class ActivityStats(CounterBag):
 
     All the counting machinery (``bump``, ``get``, ``as_dict``,
     ``items``, iteration) comes from :class:`CounterBag`; this adapter
-    adds the merge/round-trip API the engines and the parallel path use
+    adds the merge/round-trip API the engines and the shard codecs use
     plus the paper-specific ``utilization`` derivation.
     """
 

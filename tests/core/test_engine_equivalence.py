@@ -100,11 +100,11 @@ class TestAllEnginesAgree:
 
     def test_metrics_snapshots_chunking_invariant(self):
         """The recorded observability metrics are engine-state facts, not
-        simulation-strategy facts: a parallel pool run (several worker
-        chunks, snapshots merged across process boundaries) must produce
-        the exact same registry as one serial whole-image batch."""
+        simulation-strategy facts: row chunks diffed as separate batches,
+        each into a private registry whose snapshot is merged (as shard
+        snapshots are), must produce the exact same registry as one
+        whole-image batch."""
         from repro.rle.image import RLEImage
-        from repro.core.parallel import parallel_diff_images
         from repro.core.pipeline import diff_images
         from repro.obs.metrics import MetricsRegistry
 
@@ -116,10 +116,17 @@ class TestAllEnginesAgree:
         serial = MetricsRegistry()
         serial_result = diff_images(image_a, image_b, options=DiffOptions(metrics=serial))
         merged = MetricsRegistry()
-        parallel_result = parallel_diff_images(
-            image_a, image_b, workers=2, chunk_rows=5, options=DiffOptions(metrics=merged)
-        )
-        assert parallel_result.image == serial_result.image
+        chunked_rows = []
+        for start in range(0, image_a.height, 5):
+            chunk = MetricsRegistry()
+            result = diff_images(
+                RLEImage(image_a.rows[start : start + 5], width=width),
+                RLEImage(image_b.rows[start : start + 5], width=width),
+                options=DiffOptions(metrics=chunk),
+            )
+            chunked_rows.extend(result.image)
+            merged.merge_snapshot(chunk.snapshot())
+        assert RLEImage(chunked_rows, width=width) == serial_result.image
         assert merged.snapshot() == serial.snapshot()
         assert merged.to_prometheus_text() == serial.to_prometheus_text()
 

@@ -21,9 +21,9 @@ from repro.core.options import (
     DiffOptions,
     validate_engine,
 )
-from repro.core.parallel import parallel_diff_images
 from repro.core.pipeline import diff_images
 from repro.obs.metrics import MetricsRegistry
+from repro.service import DiffService, ResilientDiffService, ShardedDiffService
 
 
 def small_images():
@@ -105,26 +105,73 @@ class TestDefaults:
         assert IMAGE_DEFAULTS.engine == "batched"
 
 
+#: The pre-1.1 keyword parameters of ``row_diff``, now gone from its
+#: signature.
+ROW_DIFF_LEGACY_KEYWORDS = (
+    "engine",
+    "paranoid",
+    "record_trace",
+    "n_cells",
+    "tracer",
+    "metrics",
+    "probe",
+)
+
+
+def _call_with_options(entry_point, options):
+    """``entry_point`` called with ``options`` in its options position."""
+    image_a, image_b = small_images()
+    calls = {
+        "row_diff": lambda: row_diff(image_a[0], image_b[0], options),
+        "image_diff": lambda: image_diff(image_a, image_b, options),
+        "diff_images": lambda: diff_images(image_a, image_b, options),
+        "DiffService": lambda: DiffService(options),
+        "ResilientDiffService": lambda: ResilientDiffService(options),
+        "ShardedDiffService": lambda: ShardedDiffService(options, workers=1),
+    }
+    return calls[entry_point]()
+
+
 class TestRemovedLegacySpellings:
-    """The pre-1.1 keyword/positional spellings completed their
-    deprecation cycle and are now a typed hard error (see docs/API.md
-    and CHANGELOG.md) — stale call sites must fail loudly and
-    actionably, never silently drift."""
+    """The pre-1.1 spellings completed their deprecation cycle: the
+    keyword parameters are gone (a stale keyword is Python's own
+    ``TypeError``), and a bare engine string in the ``options``
+    position is a typed :class:`OptionsError` from the one shared check
+    (see docs/API.md and CHANGELOG.md) — stale call sites fail loudly,
+    never silently drift."""
 
     def test_legacy_kwarg_is_hard_error(self, paper_rows):
         a, b, _ = paper_rows
-        with pytest.raises(OptionsError, match="row_diff.*engine"):
+        with pytest.raises(TypeError, match="row_diff.*engine"):
             row_diff(a, b, engine="batched")
+
+    @pytest.mark.parametrize(
+        "entry_point",
+        [
+            "row_diff",
+            "image_diff",
+            "diff_images",
+            "DiffService",
+            "ResilientDiffService",
+            "ShardedDiffService",
+        ],
+    )
+    def test_bare_string_rejected_by_the_shared_check(self, entry_point):
+        with pytest.raises(OptionsError, match="bare string") as excinfo:
+            _call_with_options(entry_point, "batched")
+        assert entry_point in str(excinfo.value)
+        assert excinfo.traceback[-1].name == "checked_options"
 
     def test_error_names_every_offending_kwarg(self, paper_rows):
         a, b, _ = paper_rows
-        with pytest.raises(OptionsError, match="engine.*paranoid"):
-            row_diff(a, b, engine="systolic", paranoid=True)
+        for keyword in ROW_DIFF_LEGACY_KEYWORDS:
+            with pytest.raises(TypeError, match=keyword):
+                row_diff(a, b, **{keyword: None})
 
     def test_error_points_at_the_replacement(self, paper_rows):
         a, b, _ = paper_rows
         with pytest.raises(OptionsError, match=r"DiffOptions\(.*docs/API\.md"):
-            row_diff(a, b, engine="batched")
+            row_diff(a, b, "batched")
 
     def test_bare_engine_string_is_hard_error(self, paper_rows):
         a, b, _ = paper_rows
@@ -133,7 +180,7 @@ class TestRemovedLegacySpellings:
 
     def test_kwarg_alongside_options_is_hard_error(self, paper_rows):
         a, b, _ = paper_rows
-        with pytest.raises(OptionsError):
+        with pytest.raises(TypeError):
             row_diff(
                 a, b, options=DiffOptions(engine="systolic"), engine="sequential"
             )
@@ -150,13 +197,15 @@ class TestRemovedLegacySpellings:
 
     def test_diff_images_legacy_kwargs_hard_error(self):
         image_a, image_b = small_images()
-        with pytest.raises(OptionsError, match="diff_images"):
+        with pytest.raises(TypeError, match="diff_images"):
             diff_images(image_a, image_b, engine="batched")
+        with pytest.raises(TypeError, match="image_diff"):
+            image_diff(image_a, image_b, canonical=False)
 
     def test_parallel_legacy_kwargs_hard_error(self):
-        image_a, image_b = small_images()
-        with pytest.raises(OptionsError, match="parallel_diff_images"):
-            parallel_diff_images(image_a, image_b, workers=1, engine="systolic")
+        # the multi-process path never had the keywords; no worker starts
+        with pytest.raises(TypeError, match="engine"):
+            ShardedDiffService(workers=1, engine="systolic")
 
 
 class TestBoundaryRejection:
@@ -175,24 +224,29 @@ class TestBoundaryRejection:
             diff_images(image_a, image_b, options=DiffOptions(engine="bogus"))
 
     def test_parallel(self):
-        image_a, image_b = small_images()
+        from repro.service.shard import decode_options, encode_options
+
         with pytest.raises(UnknownEngineError):
-            parallel_diff_images(
-                image_a, image_b, workers=2, options=DiffOptions(engine="bogus")
-            )
+            ShardedDiffService(DiffOptions(engine="bogus"), workers=2)
+        # a shard worker re-validates the engine it is handed
+        wire = ("bogus",) + encode_options(DiffOptions())[1:]
+        with pytest.raises(UnknownEngineError):
+            decode_options(wire)
 
 
 class TestUniformOptionsAcrossEntryPoints:
-    """The same DiffOptions value drives all three entry points."""
+    """The same DiffOptions value drives the row, image and sharded
+    entry points."""
 
     @pytest.mark.parametrize("engine", ENGINE_NAMES)
     def test_same_options_same_answer(self, engine):
         image_a, image_b = small_images()
         opts = DiffOptions(engine=engine)
         serial = diff_images(image_a, image_b, options=opts)
-        para = parallel_diff_images(image_a, image_b, workers=1, options=opts)
+        with ShardedDiffService(opts, workers=1) as sharded:
+            fanned = sharded.diff_images(image_a, image_b)
         assert [r.to_pairs() for r in serial.image] == [
-            r.to_pairs() for r in para.image
+            r.to_pairs() for r in fanned.image
         ]
         row = row_diff(image_a[0], image_b[0], options=opts)
         assert row.result.to_pairs() == serial.row_results[0].result.to_pairs()

@@ -11,7 +11,6 @@ import pytest
 from repro.core.api import image_diff
 from repro.core.options import DiffOptions
 from repro.core.machine import SystolicXorMachine
-from repro.core.parallel import parallel_diff_images
 from repro.core.scheduler import row_costs, schedule
 from repro.core.timing import pipeline_timing
 from repro.core.verifier import verify_trace
@@ -71,12 +70,15 @@ class TestPCBScenario:
             assert 0 <= left <= right < reference.width
 
     def test_parallel_diff_agrees_with_serial(self, pair):
+        from repro.service import ShardedDiffService
+
         reference, scan = pair
         serial = image_diff(
             reference, scan, options=DiffOptions(engine="batched")
         )
-        parallel = parallel_diff_images(reference, scan, workers=2)
-        assert parallel.image == serial.image
+        with ShardedDiffService(DiffOptions(engine="batched"), workers=2) as sharded:
+            fanned = sharded.diff_images(reference, scan)
+        assert fanned.image == serial.image
 
     def test_deployment_and_timing_consistent(self, pair):
         reference, scan = pair

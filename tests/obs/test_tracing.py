@@ -65,13 +65,14 @@ class TestSpans:
 
     def test_record_span_for_worker_durations(self):
         tracer = Tracer(clock=FakeClock())
-        with tracer.span("parallel_diff"):
-            record = tracer.record_span("chunk", 0.25, chunk=0)
+        with tracer.span("sharded_diff_rows"):
+            record = tracer.record_span("shard_diff_rows", 0.25, lane=1, rows=4)
         assert record.duration == 0.25
-        assert record.attributes == {"chunk": 0}
-        chunk = next(s for s in tracer.spans if s.name == "chunk")
-        parent = next(s for s in tracer.spans if s.name == "parallel_diff")
-        assert chunk.parent_id == parent.span_id
+        assert record.attributes == {"rows": 4}
+        assert record.lane == 1
+        worker = next(s for s in tracer.spans if s.name == "shard_diff_rows")
+        parent = next(s for s in tracer.spans if s.name == "sharded_diff_rows")
+        assert worker.parent_id == parent.span_id
 
     def test_durations_totals(self):
         tracer = Tracer(clock=FakeClock())

@@ -138,13 +138,20 @@ class TestResiliencePolicy:
         assert delays == [0.01, 0.02, 0.04, 0.05, 0.05]
 
     def test_policy_threads_through_options(self):
+        """``policy=`` is the one way to hand a service its policy: the
+        options bundle has no policy field to fall back to."""
+        import dataclasses
+
+        assert "resilience" not in {
+            field.name for field in dataclasses.fields(DiffOptions)
+        }
         policy = ResiliencePolicy(max_retries=7)
         with ResilientDiffService(
-            DiffOptions(engine="batched", resilience=policy), **FAST
+            DiffOptions(engine="batched"), policy=policy, **FAST
         ) as svc:
             assert svc.policy.max_retries == 7
-            # the inner service never sees the handle (cache identity)
-            assert svc.options.resilience is None
+        with ResilientDiffService(DiffOptions(engine="batched"), **FAST) as svc:
+            assert svc.policy == ResiliencePolicy()
 
 
 # --------------------------------------------------------------------- #

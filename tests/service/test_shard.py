@@ -126,7 +126,7 @@ class TestWireCodecs:
 
     def test_wire_forms_are_builtin_typed(self):
         # the whole point of the codecs: nothing project-typed crosses
-        # the pipe, mirroring repro.core.parallel
+        # the pipe
         a = RLERow.from_pairs([(1, 4)], width=16)
         result = row_diff(a, a, options=DiffOptions(engine="systolic"))
 

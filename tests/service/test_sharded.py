@@ -5,7 +5,7 @@ from functools import reduce
 
 import pytest
 
-from repro.errors import CapacityError, GeometryError, ServiceError
+from repro.errors import CapacityError, GeometryError, ReproError, ServiceError
 from repro.rle.image import RLEImage
 from repro.rle.row import RLERow
 from repro.core.options import DiffOptions
@@ -13,6 +13,7 @@ from repro.service import (
     DiffService,
     ServerThread,
     ShardClient,
+    ResiliencePolicy,
     ShardedDiffService,
 )
 from repro.workloads.motion import generate_sequence
@@ -137,6 +138,30 @@ class TestShardedMetrics:
         # traffic in between must agree.
         sharded.diff_images(clip[2], clip[3])
         assert sharded.merged_snapshot() == sharded.merged_snapshot()
+
+    def test_breaker_fields_report_the_worst_worker(self):
+        """A breaker state code and a failure rate do not add: with both
+        workers' breakers open, the fleet reports one open breaker
+        (2.0) at a failure rate of 1.0, not their sums."""
+        policy = ResiliencePolicy(
+            deadline=1e-9,
+            breaker_window=4,
+            breaker_min_requests=2,
+            breaker_reset_timeout=60.0,
+        )
+        with ShardedDiffService(BATCHED, workers=2, policy=policy) as fleet:
+            for length in range(1, 5):  # fresh content: no cache hits
+                rows = [RLERow.from_pairs([(i, length)], width=64) for i in range(16)]
+                with pytest.raises(ReproError):
+                    fleet.diff_rows(rows, rows[::-1])
+            per_worker = fleet.worker_stats()
+            stats = fleet.stats()
+        assert [w["breaker_state"] for w in per_worker] == [2.0, 2.0]
+        assert stats["breaker_state"] == 2.0
+        assert stats["breaker_failure_rate"] == 1.0
+        assert stats["breaker_transitions"] == sum(
+            w["breaker_transitions"] for w in per_worker
+        )
 
     def test_every_worker_reports_identity_gauge(self, sharded):
         merged = sharded.merged_registry()

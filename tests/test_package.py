@@ -17,6 +17,15 @@ class TestPublicAPI:
         parts = repro.__version__.split(".")
         assert len(parts) == 3
         assert all(p.isdigit() for p in parts)
+        # installed metadata (pip install -e, or setup.py egg_info) is
+        # generated from repro.__version__, the one version source
+        from importlib.metadata import PackageNotFoundError, version
+
+        try:
+            installed = version("repro")
+        except PackageNotFoundError:
+            return
+        assert installed == repro.__version__
 
     def test_quickstart_doctest(self):
         """The docstring example in ``repro/__init__.py`` runs verbatim."""
