@@ -103,7 +103,7 @@ class StreamPolicy:
     max_chain: int = 64
 
     def __post_init__(self) -> None:
-        if self.rekey_ratio <= 0.0:
+        if not self.rekey_ratio > 0.0:  # NaN fails this too
             raise ServiceError(
                 f"rekey_ratio must be > 0, got {self.rekey_ratio}"
             )
