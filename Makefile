@@ -1,6 +1,6 @@
 # Convenience targets — everything is plain pytest underneath.
 
-.PHONY: install test lint bench bench-smoke bench-trend obs-smoke service-smoke resilience-smoke serve-smoke stream-smoke cache-smoke figures coverage examples artifacts fuzz clean
+.PHONY: install test lint bench bench-smoke bench-trend obs-smoke service-smoke resilience-smoke serve-smoke stream-smoke cache-smoke perfbench-smoke figures coverage examples artifacts fuzz clean
 
 # mypy strict seed set — expand alongside docs/STATIC_ANALYSIS.md
 MYPY_STRICT_FILES = \
@@ -139,6 +139,15 @@ cache-smoke:
 		pytest benchmarks/bench_service.py -q --benchmark-disable \
 		-k "Persistent"
 	rm -rf $(CACHE_SMOKE_DIR)
+
+# benchmark smoke: two short runs of the repository benchmark's
+# in-process workloads (perfbench/, see BENCHMARK.json), one traced.
+# Every output is checked against a NumPy bitmap XOR of the inputs, so
+# a wrong image_diff or diff_rows result exits 1; timings are printed,
+# not gated
+perfbench-smoke:
+	python3 perfbench/run.py --workload fig5-strip --seed 1 --seconds 2 --trace 1
+	python3 perfbench/run.py --workload unique-rows --seed 1 --seconds 2 --trace 0
 
 # regenerate results/FIGURES.md (every figure/table in one document)
 # from the committed machine-readable artifacts — no benchmarks run;

@@ -6,31 +6,94 @@ paper's structural requirement: "Each array of tuples must use a strictly
 increasing sequence of first elements ... none of the intervals ... may
 overlap").  Adjacent runs *are* permitted — such a row is valid but not
 *canonical*; :meth:`RLERow.canonical` merges them.
+
+A row holds its runs in one of two forms.  Every public constructor
+builds and validates the :class:`Run` tuple.  The batched engine and
+:meth:`RLERow.canonical` instead hand over a trusted ``(2, k)`` int64
+array of run starts and inclusive ends; such a row answers counts,
+extent, canonical form and ``(start, length)`` pairs from the array and
+builds its ``Run`` tuple only when :attr:`RLERow.runs` is first read.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union, overload
 
 import numpy as np
+import numpy.typing as npt
 
 from repro._typing import BitArray, RunsLike
-from repro.errors import GeometryError
+from repro.errors import EncodingError, GeometryError
 from repro.rle.run import Run
 from repro.rle.validate import validate_runs as _validate_structure
 
 __all__ = ["RLERow"]
 
+#: A row's runs as one ``(2, k)`` int64 array: starts, then inclusive ends.
+_Bounds = npt.NDArray[np.int64]
+
 
 def _coerce_runs(runs: Iterable[Union[Run, Tuple[int, int]]]) -> Tuple[Run, ...]:
     out: List[Run] = []
+    index = operator.index
     for item in runs:
         if isinstance(item, Run):
             out.append(item)
         else:
             start, length = item
-            out.append(Run(int(start), int(length)))
+            try:
+                out.append(Run(index(start), index(length)))
+            except TypeError:
+                raise EncodingError(
+                    f"run {item!r}: start and length must be integers"
+                ) from None
     return tuple(out)
+
+
+def _checked_width(width: Optional[int]) -> Optional[int]:
+    if width is None:
+        return None
+    try:
+        checked: Optional[int] = operator.index(width)
+    except TypeError:
+        checked = None
+    if checked is None or isinstance(width, bool):
+        raise GeometryError(f"width must be an integer, got {width!r}")
+    if checked < 0:
+        raise GeometryError(f"width must be >= 0, got {checked}")
+    return checked
+
+
+def _stack_runs(runs: Sequence[Run]) -> _Bounds:
+    """The ``(2, k)`` starts/ends array of a run sequence."""
+    bounds = np.array(
+        ([run.start for run in runs], [run.length for run in runs]), dtype=np.int64
+    )
+    bounds[1] += bounds[0] - 1
+    return bounds
+
+
+def _stack_rows(rows: Sequence["RLERow"]) -> _Bounds:
+    """Every run of ``rows``, row after row, as one ``(2, total)`` array.
+
+    A row that holds an array contributes it as is; the ``Run`` tuples of
+    the rows between are read in one pass (no array is kept on them).
+    """
+    parts: List[_Bounds] = []
+    pending: List[Run] = []
+    for row in rows:
+        data = row._data
+        if isinstance(data, tuple):
+            pending.extend(data)
+            continue
+        if pending:
+            parts.append(_stack_runs(pending))
+            pending = []
+        parts.append(data)
+    if pending or not parts:
+        parts.append(_stack_runs(pending))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
 class RLERow:
@@ -47,7 +110,14 @@ class RLERow:
         bitmap conversion) need no explicit width argument.
     """
 
-    __slots__ = ("_runs", "_width")
+    __slots__ = ("_data", "_width")
+
+    #: The validated ``Run`` tuple, or trusted ``(2, k)`` bounds until
+    #: :attr:`runs` is first read.  Methods read the slot once, and
+    #: :attr:`runs` replaces the array with the tuple in one store, so a
+    #: row shared between threads is never seen half-converted.
+    _data: Union[Tuple[Run, ...], _Bounds]
+    _width: Optional[int]
 
     def __init__(
         self,
@@ -56,19 +126,28 @@ class RLERow:
     ) -> None:
         coerced = _coerce_runs(runs)
         _validate_structure(coerced)
-        if width is not None:
-            if width < 0:
-                raise GeometryError(f"width must be >= 0, got {width}")
-            if coerced and coerced[-1].end >= width:
-                raise GeometryError(
-                    f"run {coerced[-1].as_tuple()} does not fit in width {width}"
-                )
-        self._runs = coerced
+        width = _checked_width(width)
+        if width is not None and coerced and coerced[-1].end >= width:
+            raise GeometryError(
+                f"run {coerced[-1].as_tuple()} does not fit in width {width}"
+            )
+        self._data = coerced
         self._width = width
 
     # ------------------------------------------------------------------ #
     # Constructors                                                       #
     # ------------------------------------------------------------------ #
+    @classmethod
+    def _trusted(
+        cls, data: Union[Tuple[Run, ...], _Bounds], width: Optional[int]
+    ) -> "RLERow":
+        """A row over ``data`` (either form of the slot) already known to
+        be a valid row of ``width``, built with no checks."""
+        row = cls.__new__(cls)
+        row._data = data
+        row._width = width
+        return row
+
     @classmethod
     def from_pairs(cls, pairs: RunsLike, width: Optional[int] = None) -> "RLERow":
         """Build from ``(start, length)`` pairs (the paper's notation)."""
@@ -113,7 +192,14 @@ class RLERow:
     # ------------------------------------------------------------------ #
     @property
     def runs(self) -> Tuple[Run, ...]:
-        return self._runs
+        data = self._data
+        if isinstance(data, tuple):
+            return data
+        starts = data[0].tolist()
+        lengths = (data[1] - data[0] + 1).tolist()
+        runs = tuple(map(Run, starts, lengths))
+        self._data = runs
+        return runs
 
     @property
     def width(self) -> Optional[int]:
@@ -122,26 +208,35 @@ class RLERow:
     @property
     def run_count(self) -> int:
         """``k`` — the number of runs, the paper's complexity parameter."""
-        return len(self._runs)
+        data = self._data
+        return len(data) if isinstance(data, tuple) else data.shape[1]
 
     @property
     def pixel_count(self) -> int:
         """Total number of foreground pixels."""
-        return sum(r.length for r in self._runs)
+        data = self._data
+        if isinstance(data, tuple):
+            return sum(r.length for r in data)
+        return int((data[1] - data[0]).sum()) + data.shape[1]
 
     @property
     def extent(self) -> int:
         """One past the last foreground pixel (0 for an empty row)."""
-        return self._runs[-1].stop if self._runs else 0
+        data = self._data
+        if isinstance(data, tuple):
+            return data[-1].stop if data else 0
+        return int(data[1, -1]) + 1 if data.shape[1] else 0
 
     def __len__(self) -> int:
-        return len(self._runs)
+        return self.run_count
 
     def __iter__(self) -> Iterator[Run]:
-        return iter(self._runs)
+        data = self._data
+        return iter(data if isinstance(data, tuple) else self.runs)
 
     def __bool__(self) -> bool:
-        return bool(self._runs)
+        data = self._data
+        return bool(data) if isinstance(data, tuple) else data.shape[1] > 0
 
     @overload
     def __getitem__(self, index: int) -> Run: ...
@@ -151,8 +246,8 @@ class RLERow:
 
     def __getitem__(self, index: Union[int, slice]) -> Union[Run, "RLERow"]:
         if isinstance(index, slice):
-            return RLERow(self._runs[index], width=self._width)
-        return self._runs[index]
+            return RLERow(self.runs[index], width=self._width)
+        return self.runs[index]
 
     def __eq__(self, other: object) -> bool:
         """Structural equality: same run list (widths are not compared).
@@ -163,13 +258,19 @@ class RLERow:
         """
         if not isinstance(other, RLERow):
             return NotImplemented
-        return self._runs == other._runs
+        mine, theirs = self._data, other._data
+        if isinstance(mine, tuple) and isinstance(theirs, tuple):
+            return mine == theirs
+        if isinstance(mine, tuple) or isinstance(theirs, tuple):
+            return self.runs == other.runs
+        return bool(np.array_equal(mine, theirs))
 
     def __hash__(self) -> int:
-        return hash(self._runs)
+        data = self._data
+        return hash(data if isinstance(data, tuple) else self.runs)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        body = " ".join(str(r) for r in self._runs)
+        body = " ".join(str(r) for r in self.runs)
         suffix = f", width={self._width}" if self._width is not None else ""
         return f"RLERow([{body}]{suffix})"
 
@@ -178,29 +279,33 @@ class RLERow:
     # ------------------------------------------------------------------ #
     def is_canonical(self) -> bool:
         """True when no two consecutive runs are adjacent (fully compressed)."""
-        return all(
-            a.end + 1 < b.start for a, b in zip(self._runs, self._runs[1:])
-        )
+        data = self._data
+        if isinstance(data, tuple):
+            return all(a.end + 1 < b.start for a, b in zip(data, data[1:]))
+        return bool((data[0, 1:] > data[1, :-1] + 1).all())
 
     def canonical(self) -> "RLERow":
         """The fully-compressed equivalent row (adjacent runs merged)."""
-        if self.is_canonical():
+        data = self._data
+        if isinstance(data, tuple):
+            if self.is_canonical():
+                return self
+            data = _stack_runs(data)
+        # a merged run starts after each gap and ends before the next one
+        gap = data[0, 1:] > data[1, :-1] + 1
+        if gap.all():
             return self
-        merged: List[Run] = []
-        for run in self._runs:
-            if merged and merged[-1].end + 1 >= run.start:
-                merged[-1] = merged[-1].merge(run)
-            else:
-                merged.append(run)
-        return RLERow(merged, width=self._width)
+        first = np.concatenate(([True], gap))
+        last = np.concatenate((gap, [True]))
+        return RLERow._trusted(np.stack((data[0, first], data[1, last])), self._width)
 
     def same_pixels(self, other: "RLERow") -> bool:
         """True if both rows cover exactly the same foreground pixels."""
-        return self.canonical().runs == other.canonical().runs
+        return self.canonical() == other.canonical()
 
     def get(self, index: int) -> bool:
         """Value of pixel ``index`` (binary-search lookup, O(log k))."""
-        runs = self._runs
+        runs = self.runs
         lo, hi = 0, len(runs) - 1
         while lo <= hi:
             mid = (lo + hi) // 2
@@ -220,15 +325,19 @@ class RLERow:
         w = width if width is not None else self._width
         if w is None:
             w = self.extent
-        return runs_to_bits(self._runs, w)
+        return runs_to_bits(self.runs, w)
 
     def to_pairs(self) -> List[Tuple[int, int]]:
         """The run list as ``(start, length)`` tuples."""
-        return [r.as_tuple() for r in self._runs]
+        data = self._data
+        if isinstance(data, tuple):
+            return [r.as_tuple() for r in data]
+        starts, ends = data.tolist()
+        return [(start, end - start + 1) for start, end in zip(starts, ends)]
 
     def to_endpoints(self) -> List[Tuple[int, int]]:
         """The run list as inclusive ``(start, end)`` tuples."""
-        return [r.as_endpoints() for r in self._runs]
+        return [r.as_endpoints() for r in self.runs]
 
     # ------------------------------------------------------------------ #
     # Set-algebra operators (delegate to repro.rle.ops)                  #
@@ -264,8 +373,16 @@ class RLERow:
     # Derived rows                                                       #
     # ------------------------------------------------------------------ #
     def with_width(self, width: Optional[int]) -> "RLERow":
-        """The same runs with a different declared width."""
-        return RLERow(self._runs, width=width)
+        """The same runs with a different declared width (the row itself
+        when ``width`` is its own; the runs are not re-validated)."""
+        width = _checked_width(width)
+        if width == self._width:
+            return self
+        if width is not None and self.extent > width:
+            raise GeometryError(
+                f"runs up to pixel {self.extent - 1} do not fit in width {width}"
+            )
+        return RLERow._trusted(self._data, width)
 
     def density(self, width: Optional[int] = None) -> float:
         """Fraction of foreground pixels (0.0 for a zero-width row)."""
