@@ -203,6 +203,29 @@ class TestGuards:
         with pytest.raises(GeometryError):
             BatchedXorEngine().diff_rows([RLERow.empty(4)], [])
 
+    def test_result_past_its_width_rejected(self):
+        # the lane takes its first row's width (4); the second row's run
+        # at pixels 8-9 survives the XOR and does not fit in it
+        narrow = RLERow.from_pairs([(0, 2)], width=4)
+        wide = RLERow.from_pairs([(8, 2)], width=20)
+        engine = BatchedXorEngine()
+        with pytest.raises(GeometryError, match="does not fit in width 4"):
+            engine.diff_rows([wide, narrow], [wide, wide])
+        engine.load([narrow], [wide])
+        engine.run()
+        with pytest.raises(GeometryError):
+            engine.extract(0, width=9)
+        assert engine.extract(0, width=10).to_pairs() == [(0, 2), (8, 2)]
+
+    def test_result_rows_own_their_arrays(self):
+        # a row over a view of the batch's array would keep all of it
+        # alive for as long as the row is cached; an empty lane holds the
+        # shared empty tuple, as RLERow([]) does
+        rows_a, rows_b = random_batch(7, n_rows=6, width=60)
+        results = BatchedXorEngine().diff_rows(rows_a + [rows_a[0]], rows_b + [rows_a[0]])
+        assert all(res.result._data.base is None for res in results[:-1])
+        assert results[-1].result._data == ()
+
     def test_empty_rows_lane(self):
         result = BatchedXorEngine().diff(RLERow.empty(4), RLERow.empty(4))
         assert result.iterations == 0

@@ -35,6 +35,19 @@ class TestRowDiff:
         result = row_diff(self.a, self.b, options=DiffOptions(engine=engine))
         assert (result.result.to_bits(200) == self.expected).all()
 
+    @pytest.mark.parametrize("engine", ["systolic", "batched", "sequential"])
+    def test_result_past_its_width_rejected(self, engine):
+        # the result takes the first row's width; the second row's run
+        # at pixels 8-9 survives the XOR and does not fit in width 4
+        narrow = RLERow.from_pairs([(0, 2)], width=4)
+        wide = RLERow.from_pairs([(8, 2)], width=20)
+        options = DiffOptions(engine=engine)
+        with pytest.raises(GeometryError, match="does not fit in width 4"):
+            row_diff(narrow, wide, options=options)
+        result = row_diff(wide, narrow, options=options).result
+        assert result.width == 20
+        assert result.to_pairs() == [(0, 2), (8, 2)]
+
     def test_unknown_engine(self):
         with pytest.raises(ReproError):
             row_diff(

@@ -131,6 +131,15 @@ class TestImageEquivalence:
             with pytest.raises(GeometryError):
                 service.diff_images(a, b)
 
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
+    def test_row_result_past_its_width_rejected(self, engine):
+        narrow = RLERow.from_pairs([(0, 2)], width=4)
+        wide = RLERow.from_pairs([(8, 2)], width=20)
+        with DiffService(DiffOptions(engine=engine), **FAST) as service:
+            with pytest.raises(GeometryError):
+                service.diff_rows([narrow], [wide])
+            assert service.stats()["entries"] == 0
+
 
 class TestServiceBehaviour:
     def test_repeated_frames_mostly_hit(self):
