@@ -140,14 +140,16 @@ cache-smoke:
 		-k "Persistent"
 	rm -rf $(CACHE_SMOKE_DIR)
 
-# benchmark smoke: two short runs of the repository benchmark's
-# in-process workloads (perfbench/, see BENCHMARK.json), one traced.
-# Every output is checked against a NumPy bitmap XOR of the inputs, so
-# a wrong image_diff or diff_rows result exits 1; timings are printed,
-# not gated
+# benchmark smoke: short runs of the repository benchmark
+# (perfbench/, see BENCHMARK.json): fig5-strip traced, unique-rows
+# untraced, and motion-stream traced, whose replay drives the worker
+# service stack (ResilientDiffService, its cache and stream sessions)
+# in process.  Every output is checked against a NumPy bitmap XOR of
+# the inputs, so a wrong result exits 1; timings are printed, not gated
 perfbench-smoke:
 	python3 perfbench/run.py --workload fig5-strip --seed 1 --seconds 2 --trace 1
 	python3 perfbench/run.py --workload unique-rows --seed 1 --seconds 2 --trace 0
+	python3 perfbench/run.py --workload motion-stream --seed 1 --seconds 2 --trace 1
 
 # regenerate results/FIGURES.md (every figure/table in one document)
 # from the committed machine-readable artifacts — no benchmarks run;

@@ -28,8 +28,12 @@ Design constraints inherited from the rest of the repo:
 * **No ambient global registry.**  Registries are always passed
   explicitly (rule RLE005: module-level mutable state diverges silently
   between forked workers).
-* **Zero cost when off.**  Every producer takes ``metrics=None`` and
-  records only behind an ``is not None`` check.
+* **Zero cost when off, on the engine path.**  The engines and the
+  pipeline take ``metrics=None`` and record only behind an
+  ``is not None`` check.  The service components
+  (:mod:`repro.service`) always count, into a private registry when
+  given none: their ``stats()`` and ``info()`` read these series, so
+  the registry is their only set of counters.
 
 Exporters: :meth:`MetricsRegistry.to_json` (machine-readable document,
 validated by :func:`repro.obs.schema.validate_metrics_json`) and

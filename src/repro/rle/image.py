@@ -8,13 +8,13 @@ the machine and collects the results.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, cast
 
 import numpy as np
 
 from repro._typing import BitImage
 from repro.errors import GeometryError
-from repro.rle.row import RLERow
+from repro.rle.row import RLERow, _checked_width
 
 __all__ = ["RLEImage"]
 
@@ -46,7 +46,9 @@ class RLEImage:
                 width = widths.pop()
             else:
                 width = max((r.extent for r in rows), default=0)
-        self._width = int(width)
+        # RLERow's check: a bool, float, string or negative width raises
+        # GeometryError instead of being truncated or parsed.
+        self._width = cast(int, _checked_width(width))
         self._rows: Tuple[RLERow, ...] = tuple(r.with_width(self._width) for r in rows)
 
     # ------------------------------------------------------------------ #

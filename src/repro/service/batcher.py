@@ -33,17 +33,15 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, cast
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, cast
 
 from repro.errors import ServiceError, ServiceOverloadError
 from repro.rle.row import RLERow
 from repro.core.api import diff_rows
 from repro.core.machine import XorRunResult, default_cell_count
 from repro.core.options import DiffOptions
+from repro.obs.metrics import MetricsRegistry
 from repro.service.cache import CacheKey, DiffCache, row_fingerprint
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["ComputeFn", "compute_row_diffs", "RowDiffBatcher"]
 
@@ -130,10 +128,11 @@ class RowDiffBatcher:
         Queue bound; :meth:`submit` past it raises
         :class:`~repro.errors.ServiceOverloadError`.
     metrics:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry`; batch
-        sizes land in the ``repro_service_batch_size`` histogram and
-        request outcomes in ``repro_service_requests_total``
-        (``outcome`` = ``hit`` / ``computed`` / ``coalesced``).
+        The :class:`~repro.obs.metrics.MetricsRegistry` batch sizes land
+        in (the ``repro_service_batch_size`` histogram) with request
+        outcomes (``repro_service_requests_total``, ``outcome`` =
+        ``hit`` / ``computed`` / ``coalesced``); a private registry when
+        ``None``.  :meth:`totals` reads those series.
     compute:
         The :data:`ComputeFn` run per engine batch (default
         :func:`compute_row_diffs`).  Injection point for the chaos and
@@ -168,29 +167,26 @@ class RowDiffBatcher:
         )
         self._closed = False
         self._close_lock = threading.Lock()
-        #: Guards the ``batches``/``requests`` totals: :meth:`serve` bumps
-        #: them from the worker thread (queued path) *and* from caller
-        #: threads (the service's bulk path), and unsynchronized ``+=``
-        #: loses increments under concurrency.
+        #: Held around every bump of the request and batch series:
+        #: :meth:`serve` runs on the worker thread (queued path) *and* on
+        #: caller threads (the service's bulk path), and :meth:`totals`
+        #: must not pair one request's outcomes with a stale batch count.
         self._stats_lock = threading.Lock()
-        self.batches = 0
-        self.requests = 0
-        self._metrics = metrics
-        if metrics is not None:
-            outcomes = metrics.counter(
-                "repro_service_requests_total",
-                "row-diff service requests by outcome",
-                ("outcome",),
-            )
-            self._m_hit = outcomes.labels(outcome="hit")
-            self._m_computed = outcomes.labels(outcome="computed")
-            self._m_coalesced = outcomes.labels(outcome="coalesced")
-            self._m_batch_size = metrics.histogram(
-                "repro_service_batch_size",
-                "unique misses computed per engine batch (cache hits and "
-                "coalesced duplicates excluded)",
-                buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0),
-            ).labels()
+        registry = metrics if metrics is not None else MetricsRegistry()
+        outcomes = registry.counter(
+            "repro_service_requests_total",
+            "row-diff service requests by outcome",
+            ("outcome",),
+        )
+        self._m_hit = outcomes.labels(outcome="hit")
+        self._m_computed = outcomes.labels(outcome="computed")
+        self._m_coalesced = outcomes.labels(outcome="coalesced")
+        self._m_batch_size = registry.histogram(
+            "repro_service_batch_size",
+            "unique misses computed per engine batch (cache hits and "
+            "coalesced duplicates excluded)",
+            buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0),
+        ).labels()
         self._worker = threading.Thread(
             target=self._run, name="repro-diff-batcher", daemon=True
         )
@@ -251,14 +247,17 @@ class RowDiffBatcher:
 
     def totals(self) -> Tuple[int, int]:
         """Consistent ``(requests, batches)`` snapshot under the stats
-        lock — the read-side counterpart of the locked ``+=`` in
-        :meth:`serve`.
-        Readers outside this class must use it rather than the bare
-        attributes, or they can observe one total mid-update relative
-        to the other.
+        lock — the read-side counterpart of the locked bumps in
+        :meth:`serve`.  ``requests`` is the sum of the
+        ``repro_service_requests_total`` outcome series and ``batches``
+        the count of ``repro_service_batch_size`` observations.
         """
         with self._stats_lock:
-            return self.requests, self.batches
+            requests = (
+                self._m_hit.read() + self._m_computed.read() + self._m_coalesced.read()
+            )
+            _, _, batches = self._m_batch_size.snap()
+        return int(requests), batches
 
     # ------------------------------------------------------------------ #
     # Worker                                                             #
@@ -327,9 +326,9 @@ class RowDiffBatcher:
         batch and stores them.  A batcher tick runs this over its queued
         requests and :meth:`DiffService.diff_rows
         <repro.service.DiffService.diff_rows>` over a bulk request, so
-        both land in the same ``requests``/``batches`` totals and
-        ``repro_service_*`` families — recorded before the compute, so a
-        failed batch is still counted.
+        both land in the same ``repro_service_*`` series (which
+        :meth:`totals` reads) — recorded before the compute, so a failed
+        batch is still counted.
         """
         served: List[Optional[XorRunResult]] = [None] * len(rows_a)
         waiters: Dict[CacheKey, List[int]] = {}
@@ -354,10 +353,6 @@ class RowDiffBatcher:
                 indices.append(i)
         coalesced = len(served) - hits - len(order)
         with self._stats_lock:
-            self.requests += len(served)
-            if order:
-                self.batches += 1
-        if self._metrics is not None:
             if hits:
                 self._m_hit.inc(hits)
             if order:

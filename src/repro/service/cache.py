@@ -21,10 +21,11 @@ exactly that path.
 
 Eviction is byte-budgeted LRU: every entry's footprint is estimated
 from its run counts, and inserts evict least-recently-used entries
-until the configured ``max_bytes`` is respected again.  Hit/miss/
-eviction/collision counts mirror into an optional
-:class:`~repro.obs.metrics.MetricsRegistry` under the ``repro_cache_*``
-families (see ``docs/OBSERVABILITY.md``).
+until the configured ``max_bytes`` is respected again.  Hits, misses,
+evictions and collisions are counted only in a
+:class:`~repro.obs.metrics.MetricsRegistry` (the caller's, or a private
+one) under the ``repro_cache_*`` families, and :meth:`DiffCache.info`
+reads them there (see ``docs/OBSERVABILITY.md``).
 
 Since PR 10 the cache is optionally *two-tier*: give it a
 :class:`~repro.service.store.RowStore` and it becomes read-through /
@@ -56,9 +57,9 @@ from repro.errors import ServiceError
 from repro.rle.row import RLERow
 from repro.core.machine import XorRunResult
 from repro.core.options import DiffOptions
+from repro.obs.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.metrics import MetricsRegistry
     from repro.service.store import RowStore
 
 __all__ = ["row_fingerprint", "DiffCache", "CacheKey"]
@@ -138,10 +139,12 @@ class DiffCache:
         entry larger than the whole budget is simply not stored (and
         counted as an eviction).
     metrics:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry`; hit /
-        miss / eviction / collision counters and the byte/entry gauges
-        mirror into it under the ``repro_cache_*`` families, labelled
-        with this cache's ``name``.
+        The :class:`~repro.obs.metrics.MetricsRegistry` the hit / miss /
+        eviction / collision counters and the byte/entry gauges live in,
+        under the ``repro_cache_*`` families labelled with this cache's
+        ``name`` (a private registry when ``None``).  :meth:`info` and
+        :attr:`hit_rate` read those series, so two caches of one
+        ``name`` sharing a registry report their sum.
     fingerprint:
         Row digest function (default :func:`row_fingerprint`).  The
         tests inject deliberately colliding functions here; because
@@ -176,35 +179,32 @@ class DiffCache:
         self._lock = threading.Lock()
         self._entries: "OrderedDict[CacheKey, _CacheEntry]" = OrderedDict()
         self._bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.collisions = 0
-        self._metrics = metrics
-        if metrics is not None:
-            labels = ("cache",)
-            self._m_hits = metrics.counter(
-                "repro_cache_hits_total", "row-diff cache hits", labels
-            ).labels(cache=name)
-            self._m_misses = metrics.counter(
-                "repro_cache_misses_total", "row-diff cache misses", labels
-            ).labels(cache=name)
-            self._m_evictions = metrics.counter(
-                "repro_cache_evictions_total",
-                "row-diff cache entries evicted under the byte budget",
-                labels,
-            ).labels(cache=name)
-            self._m_collisions = metrics.counter(
-                "repro_cache_collisions_total",
-                "fingerprint collisions detected by verbatim-input verification",
-                labels,
-            ).labels(cache=name)
-            self._m_bytes = metrics.gauge(
-                "repro_cache_bytes", "estimated cached bytes", labels
-            ).labels(cache=name)
-            self._m_entries = metrics.gauge(
-                "repro_cache_entries", "live cache entries", labels
-            ).labels(cache=name)
+        # Counters are bumped and read under self._lock: info() and
+        # hit_rate never pair a fresh hit count with a stale miss count.
+        registry = metrics if metrics is not None else MetricsRegistry()
+        labels = ("cache",)
+        self._m_hits = registry.counter(
+            "repro_cache_hits_total", "row-diff cache hits", labels
+        ).labels(cache=name)
+        self._m_misses = registry.counter(
+            "repro_cache_misses_total", "row-diff cache misses", labels
+        ).labels(cache=name)
+        self._m_evictions = registry.counter(
+            "repro_cache_evictions_total",
+            "row-diff cache entries evicted under the byte budget",
+            labels,
+        ).labels(cache=name)
+        self._m_collisions = registry.counter(
+            "repro_cache_collisions_total",
+            "fingerprint collisions detected by verbatim-input verification",
+            labels,
+        ).labels(cache=name)
+        self._m_bytes = registry.gauge(
+            "repro_cache_bytes", "estimated cached bytes", labels
+        ).labels(cache=name)
+        self._m_entries = registry.gauge(
+            "repro_cache_entries", "live cache entries", labels
+        ).labels(cache=name)
 
     # ------------------------------------------------------------------ #
     # Keys                                                               #
@@ -235,21 +235,14 @@ class DiffCache:
             entry = self._entries.get(key)
             if entry is not None:
                 if entry.inputs != inputs:
-                    self.collisions += 1
-                    self.misses += 1
-                    if self._metrics is not None:
-                        self._m_collisions.inc()
-                        self._m_misses.inc()
+                    self._m_collisions.inc()
+                    self._m_misses.inc()
                     return None
                 self._entries.move_to_end(key)
-                self.hits += 1
-                if self._metrics is not None:
-                    self._m_hits.inc()
+                self._m_hits.inc()
                 return entry.result
             if self._store is None:
-                self.misses += 1
-                if self._metrics is not None:
-                    self._m_misses.inc()
+                self._m_misses.inc()
                 return None
         # RAM miss with a disk tier: probe outside the lock (slow IO
         # must not serialize concurrent RAM hits).  The store validates
@@ -258,15 +251,11 @@ class DiffCache:
         promoted = self._store.get(key, inputs)
         if promoted is None:
             with self._lock:
-                self.misses += 1
-                if self._metrics is not None:
-                    self._m_misses.inc()
+                self._m_misses.inc()
             return None
         self.put(key, row_a, row_b, promoted)
         with self._lock:
-            self.hits += 1
-            if self._metrics is not None:
-                self._m_hits.inc()
+            self._m_hits.inc()
         return promoted
 
     def lookup(
@@ -295,9 +284,7 @@ class DiffCache:
                 self._bytes -= old.nbytes
             if nbytes > self.max_bytes:
                 # would evict the whole cache and still not fit
-                self.evictions += 1
-                if self._metrics is not None:
-                    self._m_evictions.inc()
+                self._m_evictions.inc()
                 demoted.append((key, inputs, result))
                 self._sync_gauges()
             else:
@@ -306,9 +293,7 @@ class DiffCache:
                 while self._bytes > self.max_bytes:
                     evicted_key, evicted = self._entries.popitem(last=False)
                     self._bytes -= evicted.nbytes
-                    self.evictions += 1
-                    if self._metrics is not None:
-                        self._m_evictions.inc()
+                    self._m_evictions.inc()
                     demoted.append((evicted_key, evicted.inputs, evicted.result))
                 self._sync_gauges()
         if self._store is not None:
@@ -337,36 +322,32 @@ class DiffCache:
     @property
     def hit_rate(self) -> float:
         """``hits / (hits + misses)`` over the cache's lifetime
-        (``0.0`` before the first lookup).
-
-        Reads both counters under the lock — an unsynchronized read can
-        pair a fresh ``hits`` with a stale ``misses`` (or vice versa)
-        mid-lookup and report a rate above 1.0 or below its true value,
-        which matters because the CLI's ``--min-hit-rate`` gate trusts
-        this number.
-        """
+        (``0.0`` before the first lookup), both read under the lock: a
+        torn pair could report a rate above 1.0, and the CLI's
+        ``--min-hit-rate`` gate trusts this number."""
         with self._lock:
-            seen = self.hits + self.misses
-            return self.hits / seen if seen else 0.0
+            hits, misses = self._m_hits.read(), self._m_misses.read()
+        seen = hits + misses
+        return hits / seen if seen else 0.0
 
     def info(self) -> Dict[str, float]:
-        """Counters and budget as one plain dict (for logs and the CLI).
-        With a disk tier attached its ``disk_*`` counters are merged in
-        (see :meth:`RowStore.info <repro.service.store.RowStore.info>`)."""
+        """Counters and budget as one plain dict (for logs and the CLI),
+        the counters read from their ``repro_cache_*`` series.  With a
+        disk tier attached its ``disk_*`` counters are merged in (see
+        :meth:`RowStore.info <repro.service.store.RowStore.info>`)."""
         with self._lock:
-            # hit_rate recomputed inline: the property takes the same
-            # non-reentrant lock.
-            seen = self.hits + self.misses
+            hits, misses = self._m_hits.read(), self._m_misses.read()
             out = {
                 "entries": float(len(self._entries)),
                 "bytes": float(self._bytes),
                 "max_bytes": float(self.max_bytes),
-                "hits": float(self.hits),
-                "misses": float(self.misses),
-                "evictions": float(self.evictions),
-                "collisions": float(self.collisions),
-                "hit_rate": self.hits / seen if seen else 0.0,
+                "hits": hits,
+                "misses": misses,
+                "evictions": self._m_evictions.read(),
+                "collisions": self._m_collisions.read(),
             }
+        seen = hits + misses
+        out["hit_rate"] = hits / seen if seen else 0.0
         if self._store is not None:
             out.update(self._store.info())
         return out
@@ -387,9 +368,7 @@ class DiffCache:
             if entry is not None:
                 removed = True
                 self._bytes -= entry.nbytes
-                self.evictions += 1
-                if self._metrics is not None:
-                    self._m_evictions.inc()
+                self._m_evictions.inc()
                 self._sync_gauges()
         # Reach through to the disk tier outside the lock: a corrupt
         # result must not be re-promoted on the next miss (the
@@ -441,6 +420,5 @@ class DiffCache:
 
     def _sync_gauges(self) -> None:
         # caller holds the lock
-        if self._metrics is not None:
-            self._m_bytes.set(float(self._bytes))
-            self._m_entries.set(float(len(self._entries)))
+        self._m_bytes.set(float(self._bytes))
+        self._m_entries.set(float(len(self._entries)))

@@ -206,12 +206,15 @@ class _WorkerHandle:
             self._closed = True
             pending = list(self._pending.values())
             self._pending.clear()
+        if pending:
+            # let the exit settle so the error names it (-N: signal N)
+            self._process.join(timeout=1.0)
         for future in pending:
             if not future.done():
                 future.set_exception(
                     ServiceError(
-                        f"shard worker {self.worker_id} exited with the "
-                        f"request still pending"
+                        f"shard worker {self.worker_id} exited with the request "
+                        f"still pending (exit code {self._process.exitcode})"
                     )
                 )
 
@@ -242,6 +245,9 @@ class _WorkerHandle:
         if self._process.is_alive():
             self._process.terminate()
             self._process.join(timeout=timeout)
+        # The receiver ends on EOF once the child's end is gone; closing
+        # the pipe under its recv() makes CPython read a None handle.
+        self._receiver.join(timeout=timeout)
         try:
             self._conn.close()
         except OSError:  # already closed by the receiver's EOF
@@ -376,8 +382,8 @@ class ShardedDiffService:
         ``latency_*`` keys are quantiles, not counters — the per-worker
         values are dropped rather than summed, and the reported
         ``latency_p50``/``latency_p99`` are the *front-end's* end-to-end
-        view (:meth:`~repro.obs.metrics.Histogram.quantile` over the
-        ``repro_request_latency_seconds`` frontend series).
+        view (the ``repro_request_latency_seconds`` frontend series of
+        :attr:`registry`, pooled over ops).
         ``slo_breaches`` sums the workers' service-side breaches with
         the front-end's end-to-end ones.
         """
@@ -393,10 +399,10 @@ class ShardedDiffService:
                     totals[key] = totals.get(key, 0.0) + value
         seen = totals.get("hits", 0.0) + totals.get("misses", 0.0)
         totals["hit_rate"] = totals.get("hits", 0.0) / seen if seen else 0.0
-        totals["latency_p50"] = self._lifecycle.latency.quantile(0.5)
-        totals["latency_p99"] = self._lifecycle.latency.quantile(0.99)
-        totals["slo_breaches"] = totals.get("slo_breaches", 0.0) + float(
-            self._lifecycle.slo_breaches
+        totals["latency_p50"] = self._lifecycle.latency_quantile(0.5)
+        totals["latency_p99"] = self._lifecycle.latency_quantile(0.99)
+        totals["slo_breaches"] = (
+            totals.get("slo_breaches", 0.0) + self._lifecycle.slo_breach_total()
         )
         return totals
 
@@ -419,8 +425,8 @@ class ShardedDiffService:
             "status": status,
             "workers": len(self._workers),
             "workers_alive": alive,
-            "latency_p99": self._lifecycle.latency.quantile(0.99),
-            "slo_breaches": float(self._lifecycle.slo_breaches),
+            "latency_p99": self._lifecycle.latency_quantile(0.99),
+            "slo_breaches": self._lifecycle.slo_breach_total(),
             "log_records": float(len(self.log)),
             "traces_stored": float(len(self.trace_store)),
         }

@@ -7,33 +7,37 @@ every entry point in :meth:`RequestLifecycle.track`.  A request is
 therefore accounted exactly once per tier, under the ``op`` of the
 entry point the caller invoked, with the same record fields at every
 tier (the table is in ``docs/OBSERVABILITY.md``): one
-``request_admitted`` record, one latency observation, one SLO verdict,
-and one terminal record — ``request_shed`` for a
-:class:`~repro.errors.ServiceOverloadError`, ``deadline_expired`` for a
-:class:`~repro.errors.DeadlineExceededError`, ``request_completed``
-otherwise.
+``request_admitted`` record and one terminal record — ``request_shed``
+for a :class:`~repro.errors.ServiceOverloadError`, ``deadline_expired``
+for a :class:`~repro.errors.DeadlineExceededError`, ``request_completed``
+otherwise.  The ``service`` and ``frontend`` tiers also record the
+latency and the SLO verdict in their registry, and read them back from
+there; the base tier records no metrics.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, Optional
 
 from repro.errors import DeadlineExceededError, ServiceOverloadError
 from repro.obs.context import new_request_id
-from repro.obs.metrics import LATENCY_BUCKETS_S, Histogram
+from repro.obs.metrics import LATENCY_BUCKETS_S, MetricsSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.log import StructuredLog
-    from repro.obs.metrics import MetricFamily, MetricsRegistry
+    from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["DEFAULT_SLO_SECONDS", "RequestLifecycle"]
 
 #: The latency budget a request is held to when no
 #: :class:`~repro.service.resilience.ResiliencePolicy` sets one.
 DEFAULT_SLO_SECONDS = 0.5
+
+
+def _unrecorded(op: str, elapsed: float, breached: bool) -> None:
+    """The base tier's recorder: its requests leave no metrics."""
 
 
 class RequestLifecycle:
@@ -48,9 +52,10 @@ class RequestLifecycle:
         lifecycle records; without one no request id is generated and
         nothing is formatted.
     metrics:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry` for the
+        The :class:`~repro.obs.metrics.MetricsRegistry` for the
         ``repro_request_latency_seconds`` (labels ``op``, ``tier``) and
-        ``repro_slo_breaches_total`` (label ``op``) families.
+        ``repro_slo_breaches_total`` (label ``op``) families.  Only the
+        base tier passes none.
     slo_seconds:
         A request ending later than this is an SLO breach; ``None``
         disables the verdict.
@@ -70,25 +75,23 @@ class RequestLifecycle:
         self.log = log
         self.slo_seconds = slo_seconds
         self._clock = clock
-        self._lock = threading.Lock()
-        #: Always-on latency distribution, so ``stats()`` can report
-        #: quantiles even when no registry was threaded.
-        self.latency = Histogram(LATENCY_BUCKETS_S)
-        self.slo_breaches = 0
-        self._m_latency: "Optional[MetricFamily]" = None
-        self._m_slo: "Optional[MetricFamily]" = None
+        #: Whether a request is timed at all: the base tier, built
+        #: without a registry, times one only for the records of a log.
+        self._timed = log is not None or metrics is not None
+        self._record: Callable[[str, float, bool], None] = _unrecorded
         if metrics is not None:
-            self._m_latency = metrics.histogram(
+            self._latency = metrics.histogram(
                 "repro_request_latency_seconds",
                 "request latency by operation and tier",
                 ("op", "tier"),
                 buckets=LATENCY_BUCKETS_S,
             )
-            self._m_slo = metrics.counter(
+            self._slo = metrics.counter(
                 "repro_slo_breaches_total",
                 "requests slower than the policy's slo_seconds budget",
                 ("op",),
             )
+            self._record = self._record_series
 
     @contextmanager
     def track(
@@ -97,6 +100,9 @@ class RequestLifecycle:
         """Account the request run inside the ``with`` block: the
         admitted record on entry, then the latency, the SLO verdict and
         the terminal record on every exit path."""
+        if not self._timed:
+            yield
+            return
         if self.log is not None:
             if request_id is None:
                 request_id = new_request_id()
@@ -124,15 +130,8 @@ class RequestLifecycle:
         exc: Optional[BaseException],
     ) -> None:
         elapsed = max(0.0, self._clock() - started)
-        self.latency.observe(elapsed)
-        if self._m_latency is not None:
-            self._m_latency.labels(op=op, tier=self.tier).observe(elapsed)
         breached = self.slo_seconds is not None and elapsed > self.slo_seconds
-        if breached:
-            with self._lock:
-                self.slo_breaches += 1
-            if self._m_slo is not None:
-                self._m_slo.labels(op=op).inc()
+        self._record(op, elapsed, breached)
         if self.log is None:
             return
         extra: Dict[str, object] = {}
@@ -156,3 +155,18 @@ class RequestLifecycle:
             slo_breach=breached,
             **extra,
         )
+
+    def _record_series(self, op: str, elapsed: float, breached: bool) -> None:
+        self._latency.labels(op=op, tier=self.tier).observe(elapsed)
+        if breached:
+            self._slo.labels(op=op).inc()
+
+    def latency_quantile(self, q: float) -> float:
+        """This tier's request latency ``q``-quantile, pooled over ops."""
+        view = MetricsSnapshot((self._latency.snapshot(),))
+        return view.histogram_quantile(self._latency.name, q, tier=self.tier)
+
+    def slo_breach_total(self) -> float:
+        """``repro_slo_breaches_total`` summed over ops (it has no
+        ``tier`` label)."""
+        return MetricsSnapshot((self._slo.snapshot(),)).counter_total(self._slo.name)

@@ -36,9 +36,10 @@ The policy surface is one frozen dataclass, :class:`ResiliencePolicy`:
   is retried.
 
 Outcome accounting lands in the ``repro_resilience_*`` metric families
-(see ``docs/OBSERVABILITY.md``).  Time and randomness are injectable
-(``clock`` / ``sleep`` / ``rng``), so the chaos suites drive every
-state machine transition deterministically.
+(see ``docs/OBSERVABILITY.md``), which the ``resilience_*`` keys of
+:meth:`ResilientDiffService.stats` read.  Time and randomness are
+injectable (``clock`` / ``sleep`` / ``rng``), so the chaos suites drive
+every state machine transition deterministically.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass
 from typing import (
-    Any,
     Callable,
     Dict,
     List,
@@ -78,6 +78,7 @@ from repro.core.machine import XorRunResult
 from repro.core.options import DiffOptions, IMAGE_DEFAULTS, checked_options
 from repro.core.pipeline import ImageDiffResult
 from repro.obs.log import StructuredLog
+from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
 from repro.service.batcher import (
     DEFAULT_MAX_BATCH,
     DEFAULT_MAX_LATENCY,
@@ -456,6 +457,11 @@ class ResilientDiffService:
         self-heals) land there as ``repro.log/v1`` records.  Shard
         workers pass their per-process log so the events ship back to
         the front-end with replies.
+
+    The service counts in one :class:`~repro.obs.metrics.MetricsRegistry`
+    — ``options.metrics``, or a private one when that is ``None`` — and
+    hands it to the inner service, so :meth:`stats` is a view of the
+    cache, batcher, lifecycle and ``repro_resilience_*`` series there.
     """
 
     def __init__(
@@ -473,6 +479,8 @@ class ResilientDiffService:
         log: Optional[StructuredLog] = None,
     ) -> None:
         opts = checked_options(options, IMAGE_DEFAULTS, "ResilientDiffService")
+        metrics = opts.metrics if opts.metrics is not None else MetricsRegistry()
+        opts = opts.replace(metrics=metrics)
         self.policy = policy if policy is not None else ResiliencePolicy()
         self._clock = clock
         self._sleep = sleep
@@ -481,56 +489,45 @@ class ResilientDiffService:
             compute if compute is not None else compute_row_diffs
         )
         self._lock = threading.Lock()
-        self.retries = 0
-        self.deadline_expirations = 0
-        self.degraded_serves = 0
-        self.shed = 0
+        #: Cache self-heals (no metric series counts them).
         self.healed = 0
         self.log = log
         self._lifecycle = RequestLifecycle(
             "service",
             log=log,
-            metrics=opts.metrics,
+            metrics=metrics,
             slo_seconds=self.policy.slo_seconds,
             clock=clock,
         )
 
-        metrics = opts.metrics
-        self._m_retries: Any = None
-        self._m_deadline: Any = None
-        self._m_degraded: Any = None
-        self._m_outcomes: Any = None
-        self._m_transitions: Any = None
-        self._m_state: Any = None
-        if metrics is not None:
-            self._m_retries = metrics.counter(
-                "repro_resilience_retries_total",
-                "engine batch retry attempts",
-            ).labels()
-            self._m_deadline = metrics.counter(
-                "repro_resilience_deadline_expired_total",
-                "requests that exceeded their deadline",
-            ).labels()
-            self._m_degraded = metrics.counter(
-                "repro_resilience_degraded_total",
-                "degraded-mode dispositions while the breaker was open",
-                ("mode",),
-            )
-            self._m_outcomes = metrics.counter(
-                "repro_resilience_requests_total",
-                "resilient-service requests by outcome",
-                ("outcome",),
-            )
-            self._m_transitions = metrics.counter(
-                "repro_resilience_breaker_transitions_total",
-                "circuit breaker state transitions",
-                ("from_state", "to_state"),
-            )
-            self._m_state = metrics.gauge(
-                "repro_resilience_breaker_state",
-                "breaker state (0=closed, 1=half_open, 2=open)",
-            ).labels()
-            self._m_state.set(BREAKER_STATE_VALUES[BREAKER_CLOSED])
+        self._m_retries = metrics.counter(
+            "repro_resilience_retries_total",
+            "engine batch retry attempts",
+        ).labels()
+        self._m_deadline = metrics.counter(
+            "repro_resilience_deadline_expired_total",
+            "requests that exceeded their deadline",
+        ).labels()
+        self._m_degraded = metrics.counter(
+            "repro_resilience_degraded_total",
+            "degraded-mode dispositions while the breaker was open",
+            ("mode",),
+        )
+        self._m_outcomes = metrics.counter(
+            "repro_resilience_requests_total",
+            "resilient-service requests by outcome",
+            ("outcome",),
+        )
+        self._m_transitions = metrics.counter(
+            "repro_resilience_breaker_transitions_total",
+            "circuit breaker state transitions",
+            ("from_state", "to_state"),
+        )
+        self._m_state = metrics.gauge(
+            "repro_resilience_breaker_state",
+            "breaker state (0=closed, 1=half_open, 2=open)",
+        ).labels()
+        self._m_state.set(BREAKER_STATE_VALUES[BREAKER_CLOSED])
 
         self.breaker = CircuitBreaker(
             self.policy, clock=clock, on_transition=self._note_transition
@@ -563,22 +560,26 @@ class ResilientDiffService:
     @property
     def slo_breaches(self) -> int:
         """Requests that ended later than ``policy.slo_seconds``."""
-        return self._lifecycle.slo_breaches
+        return int(self._lifecycle.slo_breach_total())
 
     def stats(self) -> Dict[str, float]:
-        """Inner cache/batcher stats plus the resilience counters."""
+        """Inner cache/batcher stats plus the resilience counters, each
+        read from its series in the service's registry."""
         info = self._service.stats()
+        degraded = MetricsSnapshot((self._m_degraded.snapshot(),))
+        info["resilience_retries"] = self._m_retries.read()
+        info["resilience_deadline_expirations"] = self._m_deadline.read()
+        info["resilience_degraded_serves"] = degraded.counter_total(
+            self._m_degraded.name, mode="cache_only"
+        )
+        info["resilience_shed"] = degraded.counter_total(
+            self._m_degraded.name, mode="shed"
+        )
         with self._lock:
-            info["resilience_retries"] = float(self.retries)
-            info["resilience_deadline_expirations"] = float(
-                self.deadline_expirations
-            )
-            info["resilience_degraded_serves"] = float(self.degraded_serves)
-            info["resilience_shed"] = float(self.shed)
             info["resilience_healed"] = float(self.healed)
-        info["slo_breaches"] = float(self.slo_breaches)
-        info["latency_p50"] = self._lifecycle.latency.quantile(0.5)
-        info["latency_p99"] = self._lifecycle.latency.quantile(0.99)
+        info["slo_breaches"] = self._lifecycle.slo_breach_total()
+        info["latency_p50"] = self._lifecycle.latency_quantile(0.5)
+        info["latency_p99"] = self._lifecycle.latency_quantile(0.99)
         info["breaker_state"] = BREAKER_STATE_VALUES[self.breaker.state]
         info["breaker_failure_rate"] = self.breaker.failure_rate
         # transition_count reads len() under the breaker's own lock —
@@ -888,10 +889,8 @@ class ResilientDiffService:
     # ------------------------------------------------------------------ #
     def _count_retry(self) -> None:
         with self._lock:
-            self.retries += 1
-            total = self.retries
-        if self._m_retries is not None:
             self._m_retries.inc()
+            total = int(self._m_retries.read())
         if self.log is not None:
             self.log.log("retry", level="warning", total=total)
 
@@ -903,33 +902,19 @@ class ResilientDiffService:
             self.log.log("cache_self_heal", level="warning", total=total)
 
     def _count_deadline(self) -> None:
-        with self._lock:
-            self.deadline_expirations += 1
-        if self._m_deadline is not None:
-            self._m_deadline.inc()
+        self._m_deadline.inc()
         self._count_outcome("deadline")
 
     def _count_degraded(self, mode: str) -> None:
-        with self._lock:
-            if mode == "cache_only":
-                self.degraded_serves += 1
-            else:
-                self.shed += 1
-        if self._m_degraded is not None:
-            self._m_degraded.labels(mode=mode).inc()
+        self._m_degraded.labels(mode=mode).inc()
         self._count_outcome("degraded" if mode == "cache_only" else "shed")
 
     def _count_outcome(self, outcome: str) -> None:
-        if self._m_outcomes is not None:
-            self._m_outcomes.labels(outcome=outcome).inc()
+        self._m_outcomes.labels(outcome=outcome).inc()
 
     def _note_transition(self, from_state: str, to_state: str) -> None:
-        if self._m_transitions is not None:
-            self._m_transitions.labels(
-                from_state=from_state, to_state=to_state
-            ).inc()
-        if self._m_state is not None:
-            self._m_state.set(BREAKER_STATE_VALUES[to_state])
+        self._m_transitions.labels(from_state=from_state, to_state=to_state).inc()
+        self._m_state.set(BREAKER_STATE_VALUES[to_state])
         if self.log is not None:
             self.log.log(
                 "breaker_transition",

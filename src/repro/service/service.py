@@ -41,6 +41,7 @@ from repro.core.machine import XorRunResult
 from repro.core.options import IMAGE_DEFAULTS, DiffOptions, checked_options
 from repro.core.pipeline import ImageDiffResult
 from repro.obs.log import StructuredLog
+from repro.obs.metrics import MetricsRegistry
 from repro.service.batcher import (
     DEFAULT_MAX_BATCH,
     DEFAULT_MAX_LATENCY,
@@ -66,11 +67,12 @@ class DiffService:
         sizing); anything else raises
         :class:`~repro.errors.OptionsError`, as the functional API does
         (:func:`~repro.core.options.checked_options`).  The ``metrics``
-        handle, if set, is
-        where the service's cache and batch metric families land; the
-        other observability handles are stripped (results served from a
-        shared cache cannot depend on one caller's tracer or probe —
-        instrument the service, not individual requests).
+        handle is the registry the cache, disk-tier and batch series
+        are counted in (a private one when ``None``), and
+        :meth:`stats` reads them there; the other observability handles
+        are stripped (results served from a shared cache cannot depend
+        on one caller's tracer or probe — instrument the service, not
+        individual requests).
     cache_bytes:
         Byte budget of the result cache; ``0`` disables caching
         entirely.
@@ -126,6 +128,7 @@ class DiffService:
     ) -> None:
         opts = checked_options(options, IMAGE_DEFAULTS, "DiffService")
         self.options = opts.without_observability()
+        metrics = opts.metrics if opts.metrics is not None else MetricsRegistry()
         self.store: Optional[RowStore] = None
         if opts.cache_dir is not None and cache_bytes > 0:
             self.store = RowStore(
@@ -135,12 +138,12 @@ class DiffService:
                     if opts.disk_budget is not None
                     else DEFAULT_DISK_BUDGET
                 ),
-                metrics=opts.metrics,
+                metrics=metrics,
                 log=store_log if store_log is not None else log,
             )
         self.cache: Optional[DiffCache] = (
             DiffCache(
-                max_bytes=cache_bytes, metrics=opts.metrics, store=self.store
+                max_bytes=cache_bytes, metrics=metrics, store=self.store
             )
             if cache_bytes > 0
             else None
@@ -151,11 +154,12 @@ class DiffService:
             max_batch=max_batch,
             max_latency=max_latency,
             max_pending=max_pending,
-            metrics=opts.metrics,
+            metrics=metrics,
             compute=compute,
         )
-        # Request accounting is log-only at this tier: latency and SLO
-        # metrics are recorded by the resilient and front-end tiers.
+        # Request accounting is log-only at this tier (and skipped
+        # without a log): latency and SLO metrics are recorded by the
+        # resilient and front-end tiers.
         self._lifecycle = RequestLifecycle(
             "base", log=log, slo_seconds=DEFAULT_SLO_SECONDS
         )
@@ -229,14 +233,13 @@ class DiffService:
     # Introspection / lifecycle                                          #
     # ------------------------------------------------------------------ #
     def stats(self) -> Dict[str, float]:
-        """Cache counters plus batcher totals, as one plain dict."""
+        """Cache counters plus batcher totals, as one plain dict — views
+        of their series in the service's registry."""
         info: Dict[str, float] = (
             self.cache.info() if self.cache is not None else {"hit_rate": 0.0}
         )
-        # totals() snapshots both counters under the batcher's stats
-        # lock; reading the attributes bare here could interleave with a
-        # worker-thread bump and pair a fresh `requests` with a stale
-        # `batches` (RLE101's cross-class blind spot, handled manually).
+        # totals() reads both series under the batcher's stats lock, so
+        # a fresh `requests` is never paired with a stale `batches`.
         requests, batches = self._batcher.totals()
         info["batches"] = float(batches)
         info["requests"] = float(requests)

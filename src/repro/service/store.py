@@ -49,7 +49,7 @@ import struct
 import threading
 from collections import OrderedDict
 from hashlib import blake2b
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 try:  # pragma: no cover - POSIX everywhere we run
     import fcntl as _fcntl
@@ -60,11 +60,11 @@ from repro.errors import FormatError, ServiceError
 from repro.core.machine import XorRunResult
 from repro.rle import packbits
 from repro.rle.row import RLERow
+from repro.obs.metrics import MetricsRegistry
 from repro.systolic.stats import ActivityStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.log import StructuredLog
-    from repro.obs.metrics import MetricsRegistry
     from repro.service.cache import CacheKey, _Inputs
 
 __all__ = [
@@ -297,9 +297,10 @@ class RowStore:
         past it evicts least-recently-used entries (files unlinked,
         ``evict`` journaled).
     metrics:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry`; counters
-        and gauges mirror under the ``repro_cache_disk_*`` families,
-        labelled with ``name``.
+        The :class:`~repro.obs.metrics.MetricsRegistry` the counters and
+        gauges live in, under the ``repro_cache_disk_*`` families
+        labelled with ``name`` (a private registry when ``None``).
+        :meth:`info` reads its ``disk_*`` counters from those series.
     name:
         The ``store`` label value used in the metric families.
     log:
@@ -333,12 +334,7 @@ class RowStore:
         self._index_path = os.path.join(self.directory, "index.log")
         os.makedirs(self._objects, exist_ok=True)
         os.makedirs(self._quarantine_dir, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-        self.writes = 0
-        self.evictions = 0
-        self.quarantined = 0
-        self.collisions = 0
+        # Counters without a metric series of their own.
         self.skipped = 0
         self.errors = 0
         self._closed = False
@@ -498,7 +494,7 @@ class RowStore:
         digest_hex = entry_digest(key).hex()
         with self._lock:
             if self._closed or digest_hex in self._tombstones:
-                self._count_miss()
+                self._m_misses.inc()
                 return None
             path = self._path_for(digest_hex)
             try:
@@ -512,28 +508,26 @@ class RowStore:
                     self._bytes -= old
                     if self._writable_locked():
                         self._append_index("evict", digest_hex)
-                self._count_miss()
+                self._m_misses.inc()
                 self._sync_gauges()
                 return None
             try:
                 stored_key, stored_inputs, result = decode_entry(blob)
             except FormatError as exc:
                 self._quarantine_locked(digest_hex, path, str(exc))
-                self._count_miss()
+                self._m_misses.inc()
                 self._sync_gauges()
                 return None
             if stored_key != key:
                 self._quarantine_locked(
                     digest_hex, path, "stale entry: stored key differs from address"
                 )
-                self._count_miss()
+                self._m_misses.inc()
                 self._sync_gauges()
                 return None
             if stored_inputs != inputs:
-                self.collisions += 1
-                if self._m_collisions is not None:
-                    self._m_collisions.inc()
-                self._count_miss()
+                self._m_collisions.inc()
+                self._m_misses.inc()
                 return None
             # adopt files another writer produced after our replay
             if digest_hex not in self._index:
@@ -545,9 +539,7 @@ class RowStore:
                 self._index.move_to_end(digest_hex)
                 if self._writable_locked():
                     self._append_index("touch", digest_hex)
-            self.hits += 1
-            if self._m_hits is not None:
-                self._m_hits.inc()
+            self._m_hits.inc()
             self._sync_gauges()
             return result
 
@@ -599,9 +591,7 @@ class RowStore:
                 self._bytes -= old
             self._index[digest_hex] = len(blob)
             self._bytes += len(blob)
-            self.writes += 1
-            if self._m_writes is not None:
-                self._m_writes.inc()
+            self._m_writes.inc()
             self._append_index("put", digest_hex, len(blob))
             while self._bytes > self.max_bytes and len(self._index) > 1:
                 victim, nbytes = self._index.popitem(last=False)
@@ -610,9 +600,7 @@ class RowStore:
                     os.unlink(self._path_for(victim))
                 except OSError:
                     pass
-                self.evictions += 1
-                if self._m_evictions is not None:
-                    self._m_evictions.inc()
+                self._m_evictions.inc()
                 self._append_index("evict", victim)
             self._sync_gauges()
             return True
@@ -646,9 +634,7 @@ class RowStore:
             else:
                 self._tombstones.add(digest_hex)
             if existed:
-                self.evictions += 1
-                if self._m_evictions is not None:
-                    self._m_evictions.inc()
+                self._m_evictions.inc()
             self._sync_gauges()
             return existed
 
@@ -666,9 +652,7 @@ class RowStore:
             except OSError:
                 self.errors += 1
             self._append_index("quarantine", digest_hex)
-        self.quarantined += 1
-        if self._m_quarantined is not None:
-            self._m_quarantined.inc()
+        self._m_quarantined.inc()
         if self._log is not None:
             self._log.log(
                 "cache_quarantine",
@@ -680,61 +664,43 @@ class RowStore:
 
     # -- metrics ------------------------------------------------------- #
     def _init_metrics(self, metrics: "Optional[MetricsRegistry]") -> None:
-        self._m_hits: Any = None
-        self._m_misses: Any = None
-        self._m_writes: Any = None
-        self._m_evictions: Any = None
-        self._m_quarantined: Any = None
-        self._m_collisions: Any = None
-        self._m_bytes: Any = None
-        self._m_entries: Any = None
-        self._metrics = metrics
-        if metrics is None:
-            return
+        registry = metrics if metrics is not None else MetricsRegistry()
         labels = ("store",)
-        self._m_hits = metrics.counter(
+        self._m_hits = registry.counter(
             "repro_cache_disk_hits_total", "disk-tier cache hits", labels
         ).labels(store=self.name)
-        self._m_misses = metrics.counter(
+        self._m_misses = registry.counter(
             "repro_cache_disk_misses_total", "disk-tier cache misses", labels
         ).labels(store=self.name)
-        self._m_writes = metrics.counter(
+        self._m_writes = registry.counter(
             "repro_cache_disk_writes_total", "entries persisted to disk", labels
         ).labels(store=self.name)
-        self._m_evictions = metrics.counter(
+        self._m_evictions = registry.counter(
             "repro_cache_disk_evictions_total",
             "disk entries evicted under the byte budget or invalidated",
             labels,
         ).labels(store=self.name)
-        self._m_quarantined = metrics.counter(
+        self._m_quarantined = registry.counter(
             "repro_cache_disk_quarantined_total",
             "corrupt disk entries sidelined to quarantine/",
             labels,
         ).labels(store=self.name)
-        self._m_collisions = metrics.counter(
+        self._m_collisions = registry.counter(
             "repro_cache_disk_collisions_total",
             "fingerprint collisions detected by verbatim-input verification",
             labels,
         ).labels(store=self.name)
-        self._m_bytes = metrics.gauge(
+        self._m_bytes = registry.gauge(
             "repro_cache_disk_bytes", "bytes of live entry files", labels
         ).labels(store=self.name)
-        self._m_entries = metrics.gauge(
+        self._m_entries = registry.gauge(
             "repro_cache_disk_entries", "live disk entries", labels
         ).labels(store=self.name)
 
-    def _count_miss(self) -> None:
-        # caller holds the lock
-        self.misses += 1
-        if self._m_misses is not None:
-            self._m_misses.inc()
-
     def _sync_gauges(self) -> None:
         # caller holds the lock (or is the constructor)
-        if self._m_bytes is not None:
-            self._m_bytes.set(float(self._bytes))
-        if self._m_entries is not None:
-            self._m_entries.set(float(len(self._index)))
+        self._m_bytes.set(float(self._bytes))
+        self._m_entries.set(float(len(self._index)))
 
     # -- introspection ------------------------------------------------- #
     def __len__(self) -> int:
@@ -748,18 +714,19 @@ class RowStore:
             return self._bytes
 
     def info(self) -> Dict[str, float]:
-        """Counters and budget as one plain dict (for logs and the CLI)."""
+        """Counters and budget as one plain dict (for logs and the CLI),
+        the counters read from their ``repro_cache_disk_*`` series."""
         with self._lock:
             return {
                 "disk_entries": float(len(self._index)),
                 "disk_bytes": float(self._bytes),
                 "disk_max_bytes": float(self.max_bytes),
-                "disk_hits": float(self.hits),
-                "disk_misses": float(self.misses),
-                "disk_writes": float(self.writes),
-                "disk_evictions": float(self.evictions),
-                "disk_quarantined": float(self.quarantined),
-                "disk_collisions": float(self.collisions),
+                "disk_hits": self._m_hits.read(),
+                "disk_misses": self._m_misses.read(),
+                "disk_writes": self._m_writes.read(),
+                "disk_evictions": self._m_evictions.read(),
+                "disk_quarantined": self._m_quarantined.read(),
+                "disk_collisions": self._m_collisions.read(),
                 "disk_skipped": float(self.skipped),
                 "disk_errors": float(self.errors),
                 "disk_warm_entries": float(self.warm_entries),

@@ -55,12 +55,12 @@ from repro.errors import (
 from repro.rle.delta import DeltaSequence
 from repro.rle.image import RLEImage
 from repro.obs.context import new_request_id
+from repro.obs.metrics import MetricsRegistry
 from repro.service.resilience import ResilientDiffService
 from repro.service.service import DiffService
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.log import StructuredLog
-    from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "StreamPolicy",
@@ -279,8 +279,9 @@ class StreamingDiffService:
         Default :class:`StreamPolicy` for sessions that do not bring
         their own.
     metrics:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry`; the
-        ``repro_stream_*`` families land here.
+        The :class:`~repro.obs.metrics.MetricsRegistry` the
+        ``repro_stream_*`` families land in (a private one when
+        ``None``).
     log:
         Optional :class:`~repro.obs.log.StructuredLog` for the
         ``stream_opened`` / ``stream_rekey`` / ``stream_closed``
@@ -300,36 +301,35 @@ class StreamingDiffService:
         self._lock = threading.Lock()
         self._sessions: Dict[str, StreamSession] = {}
         self._closed = False
-        self._metrics = metrics
-        if metrics is not None:
-            self._m_opened = metrics.counter(
-                "repro_stream_sessions_opened_total",
-                "streaming sessions opened",
-            ).labels()
-            self._m_closed = metrics.counter(
-                "repro_stream_sessions_closed_total",
-                "streaming sessions closed",
-            ).labels()
-            self._m_open = metrics.gauge(
-                "repro_stream_sessions_open",
-                "streaming sessions currently open",
-            ).labels()
-            self._m_frames = metrics.counter(
-                "repro_stream_frames_total",
-                "frames appended across all streaming sessions",
-            ).labels()
-            self._m_rekeys = metrics.counter(
-                "repro_stream_rekeys_total",
-                "adaptive key-frame replacements across all sessions",
-            ).labels()
-            self._m_raw_runs = metrics.counter(
-                "repro_stream_raw_runs_total",
-                "runs in the frames as received (pre-delta size)",
-            ).labels()
-            self._m_shipped_runs = metrics.counter(
-                "repro_stream_shipped_runs_total",
-                "runs actually shipped back (key frames + deltas)",
-            ).labels()
+        registry = metrics if metrics is not None else MetricsRegistry()
+        self._m_opened = registry.counter(
+            "repro_stream_sessions_opened_total",
+            "streaming sessions opened",
+        ).labels()
+        self._m_closed = registry.counter(
+            "repro_stream_sessions_closed_total",
+            "streaming sessions closed",
+        ).labels()
+        self._m_open = registry.gauge(
+            "repro_stream_sessions_open",
+            "streaming sessions currently open",
+        ).labels()
+        self._m_frames = registry.counter(
+            "repro_stream_frames_total",
+            "frames appended across all streaming sessions",
+        ).labels()
+        self._m_rekeys = registry.counter(
+            "repro_stream_rekeys_total",
+            "adaptive key-frame replacements across all sessions",
+        ).labels()
+        self._m_raw_runs = registry.counter(
+            "repro_stream_raw_runs_total",
+            "runs in the frames as received (pre-delta size)",
+        ).labels()
+        self._m_shipped_runs = registry.counter(
+            "repro_stream_shipped_runs_total",
+            "runs actually shipped back (key frames + deltas)",
+        ).labels()
 
     # ------------------------------------------------------------------ #
     # Session lifecycle                                                  #
@@ -359,9 +359,8 @@ class StreamingDiffService:
                 )
             self._sessions[session_id] = session
             open_count = len(self._sessions)
-        if self._metrics is not None:
-            self._m_opened.inc()
-            self._m_open.set(float(open_count))
+        self._m_opened.inc()
+        self._m_open.set(float(open_count))
         if self._log is not None:
             self._log.log(
                 "stream_opened",
@@ -397,9 +396,8 @@ class StreamingDiffService:
                 f"unknown stream session {session_id!r} — nothing to close"
             )
         stats = session.stats()
-        if self._metrics is not None:
-            self._m_closed.inc()
-            self._m_open.set(float(open_count))
+        self._m_closed.inc()
+        self._m_open.set(float(open_count))
         if self._log is not None:
             self._log.log(
                 "stream_closed",
@@ -415,8 +413,7 @@ class StreamingDiffService:
         with self._lock:
             self._closed = True
             self._sessions.clear()
-        if self._metrics is not None:
-            self._m_open.set(0.0)
+        self._m_open.set(0.0)
 
     def __enter__(self) -> "StreamingDiffService":
         return self
@@ -454,12 +451,11 @@ class StreamingDiffService:
                 )
             diff = self._backend.diff_images(tail, frame, request_id=request_id)
             result = session.append_delta(frame, diff.image)
-        if self._metrics is not None:
-            self._m_frames.inc()
-            self._m_raw_runs.inc(float(frame.total_runs))
-            self._m_shipped_runs.inc(float(result.delta_runs))
-            if result.rekeyed and result.frame_index > 0:
-                self._m_rekeys.inc()
+        self._m_frames.inc()
+        self._m_raw_runs.inc(float(frame.total_runs))
+        self._m_shipped_runs.inc(float(result.delta_runs))
+        if result.rekeyed and result.frame_index > 0:
+            self._m_rekeys.inc()
         if (
             self._log is not None
             and result.rekeyed

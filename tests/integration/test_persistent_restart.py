@@ -74,7 +74,7 @@ service = DiffService(DiffOptions(engine="batched"), max_latency=0.0)
 for a, b in PAIRS:
     cache.store(a, b, DiffOptions(engine="batched"), service.row_diff(a, b))
 cache.flush()
-print(json.dumps({"writes": store.writes}), flush=True)
+print(json.dumps({"writes": store.info()["disk_writes"]}), flush=True)
 os.kill(os.getpid(), 9)  # no close(): the crash path
 """
 

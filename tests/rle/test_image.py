@@ -54,6 +54,16 @@ class TestConstruction:
         img = RLEImage([], width=7)
         assert img.shape == (0, 7)
 
+    @pytest.mark.parametrize(
+        "rows, width",
+        [(0, 8.5), (0, "12"), (0, True), (0, -3), (1, 8.5)],
+        ids=["float", "str", "bool", "negative", "float-one-row"],
+    )
+    def test_non_integer_or_negative_width_rejected(self, rows, width):
+        row = RLERow.from_pairs([(0, 2)], width=8)
+        with pytest.raises(GeometryError):
+            RLEImage([row] * rows, width=width)
+
 
 class TestStats:
     def test_counts(self):

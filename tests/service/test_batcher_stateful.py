@@ -143,8 +143,8 @@ class BatcherLifecycle(RuleBasedStateMachine):
 
     @invariant()
     def counters_cover_the_accepted_requests(self):
-        assert self.batcher.requests >= 0
-        assert self.batcher.batches >= 0
+        assert self.batcher.totals()[0] >= 0
+        assert self.batcher.totals()[1] >= 0
 
     def teardown(self):
         self.gate.set()

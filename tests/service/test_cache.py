@@ -56,7 +56,7 @@ class TestHitMiss:
         result = compute(a, b)
         cache.store(a, b, OPTS, result)
         assert cache.lookup(a, b, OPTS) is result
-        assert cache.hits == 1 and cache.misses == 1
+        assert cache.info()["hits"] == 1 and cache.info()["misses"] == 1
         assert cache.hit_rate == 0.5
 
     def test_direction_matters(self):
@@ -88,7 +88,7 @@ class TestEviction:
         pairs = [(make_row(i), make_row(i + 7)) for i in range(24)]
         for a, b in pairs:
             cache.store(a, b, OPTS, compute(a, b))
-        assert cache.evictions > 0
+        assert cache.info()["evictions"] > 0
         assert cache.total_bytes <= 4096
         # the oldest entry is gone, the newest survives
         assert cache.lookup(*pairs[0], OPTS) is None
@@ -109,7 +109,7 @@ class TestEviction:
         a, b = make_row(1), make_row(5)
         cache.store(a, b, OPTS, compute(a, b))
         assert len(cache) == 0
-        assert cache.evictions == 1
+        assert cache.info()["evictions"] == 1
 
     def test_restore_replaces_not_duplicates(self):
         cache = DiffCache()
@@ -142,7 +142,7 @@ class TestCollisions:
         c, d = make_row(2), make_row(9)
         cache.store(a, b, OPTS, compute(a, b))
         assert cache.lookup(c, d, OPTS) is None  # collides, rejected
-        assert cache.collisions == 1
+        assert cache.info()["collisions"] == 1
         # the genuine entry still round-trips
         assert cache.lookup(a, b, OPTS) is not None
 
@@ -213,6 +213,6 @@ class TestHitRateThreadSafety:
         assert not torn
         total = n_threads * per_thread
         # each thread split its lookups 50/50 (store does not count)
-        assert cache.hits == total // 2
-        assert cache.misses == total // 2
-        assert cache.hit_rate == cache.hits / (cache.hits + cache.misses)
+        assert cache.info()["hits"] == total // 2
+        assert cache.info()["misses"] == total // 2
+        assert cache.hit_rate == cache.info()["hits"] / (cache.info()["hits"] + cache.info()["misses"])

@@ -12,7 +12,9 @@ failure mode the serving tier documents:
 - a chaos-injected transient fault logs ``retry`` and the request still
   completes byte-identical to the fault-free reference;
 - everything the log ever emits round-trips as schema-valid
-  ``repro.log/v1`` JSONL (:func:`repro.obs.schema.validate_log_lines`).
+  ``repro.log/v1`` JSONL (:func:`repro.obs.schema.validate_log_lines`);
+- ``stats()`` and ``info()`` report the registry's series, and report
+  the same numbers when the service counts into a private registry.
 """
 
 import pytest
@@ -28,6 +30,7 @@ from repro.rle.row import RLERow
 from repro.core.options import DiffOptions
 from repro.obs.context import RequestContext
 from repro.obs.log import StructuredLog
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.schema import (
     validate_chrome_trace,
     validate_log_lines,
@@ -43,6 +46,12 @@ from repro.service import (
     ShardClient,
     ShardedDiffService,
 )
+from repro.service.batcher import compute_row_diffs
+from repro.service.cache import DiffCache
+from repro.service.chaos import corrupt_disk_entry
+from repro.service.lifecycle import RequestLifecycle
+from repro.service.store import RowStore
+from tests.service.test_resilience import FakeClock
 from tests.service.test_service import FAST, assert_identical
 
 BATCHED = DiffOptions(engine="batched")
@@ -394,6 +403,13 @@ class TestLifecycleRecords:
         assert records[-1]["request_id"] == "feedface00000002"
         assert set(records[-1]["fields"]) == TERMINAL_FIELDS
 
+    def test_base_tier_without_a_log_reads_no_clock(self):
+        reads = []
+        base = RequestLifecycle("base", clock=lambda: reads.append(1) or 0.0)
+        with base.track("diff_rows", None, 1):
+            pass
+        assert reads == []
+
 
 # --------------------------------------------------------------------- #
 # End-to-end over TCP                                                   #
@@ -419,3 +435,151 @@ class TestTcpPropagation:
                     assert_log_schema_valid(logs)
                     assert any(r["request_id"] == rid for r in logs)
                     assert rid in client.trace()
+
+
+# --------------------------------------------------------------------- #
+# stats() and info() are views of the registry                          #
+# --------------------------------------------------------------------- #
+def distinct_rows(n, width=32):
+    """``n`` distinct rows; every diff of two of them is a 1,280-byte
+    cache entry, so a 3,000-byte cache holds two."""
+    return [RLERow.from_pairs([(i, 3), (i + 12, 2)], width=width) for i in range(n)]
+
+
+def histogram_count(snapshot, name):
+    return sum(s.count for f in snapshot.families if f.name == name for s in f.series)
+
+
+def resilient_stats(metrics):
+    """``stats()`` after one deterministic sequence: hits and misses, a
+    coalesced duplicate, two evictions, an injected error retried, an
+    injected latency past the deadline, then a degraded serve and a
+    shed with the breaker tripped."""
+    clock = FakeClock()
+    chaos = ChaosEngine(
+        ChaosSchedule([None, "error", None, "latency"]),
+        latency=1.0,
+        sleep=clock.advance,
+    )
+    policy = ResiliencePolicy(max_retries=2, backoff_base=0.0, jitter=0.0)
+    a, b, c, d, e, f = distinct_rows(6)
+    with ResilientDiffService(
+        DiffOptions(engine="batched", metrics=metrics),
+        policy=policy,
+        compute=chaos,
+        cache_bytes=3000,
+        clock=clock,
+        sleep=clock.advance,
+        **FAST,
+    ) as svc:
+        svc.diff_rows([a, a, c], [b, b, d])
+        svc.diff_rows([a, c], [b, d])
+        svc.row_diff(c, a)  # retried once; evicts (a, b)
+        with pytest.raises(DeadlineExceededError):
+            svc.diff_rows([e], [f], deadline=0.5)  # evicts (c, d)
+        svc.breaker.trip()
+        svc.row_diff(e, f)  # degraded: served from the cache
+        with pytest.raises(ServiceOverloadError):
+            svc.row_diff(a, b)  # shed: evicted
+        return svc.stats()
+
+
+def counter_keys(stats):
+    return {
+        key: value
+        for key, value in stats.items()
+        if not key.startswith("latency_") and key != "slo_breaches"
+    }
+
+
+class TestStatsAreRegistryViews:
+    def test_resilient_stats_read_their_series(self):
+        registry = MetricsRegistry()
+        stats = resilient_stats(registry)
+        assert counter_keys(stats) == counter_keys(resilient_stats(None))
+        snap = registry.snapshot()
+        total = snap.counter_total
+        assert snap.counter_total("repro_service_requests_total", outcome="coalesced") == 1
+        series = {
+            "hits": total("repro_cache_hits_total"),
+            "misses": total("repro_cache_misses_total"),
+            "evictions": total("repro_cache_evictions_total"),
+            "collisions": total("repro_cache_collisions_total"),
+            "requests": total("repro_service_requests_total"),
+            "batches": histogram_count(snap, "repro_service_batch_size"),
+            "resilience_retries": total("repro_resilience_retries_total"),
+            "resilience_deadline_expirations": total(
+                "repro_resilience_deadline_expired_total"
+            ),
+            "resilience_degraded_serves": total(
+                "repro_resilience_degraded_total", mode="cache_only"
+            ),
+            "resilience_shed": total("repro_resilience_degraded_total", mode="shed"),
+            "slo_breaches": total("repro_slo_breaches_total"),
+        }
+        assert {key: stats[key] for key in series} == series
+        assert series == {
+            "hits": 3, "misses": 6, "evictions": 2, "collisions": 0,
+            "requests": 7, "batches": 3, "resilience_retries": 1,
+            "resilience_deadline_expirations": 1,
+            "resilience_degraded_serves": 1, "resilience_shed": 1,
+            "slo_breaches": 1,
+        }
+        for q, key in ((0.5, "latency_p50"), (0.99, "latency_p99")):
+            assert stats[key] == snap.histogram_quantile(
+                "repro_request_latency_seconds", q, tier="service"
+            )
+
+    def test_cache_info_reads_its_series(self):
+        def info(metrics):
+            # rows of one width share a fingerprint: (c, d) collides
+            # with (a, b); the other widths fill the 3,000-byte budget
+            cache = DiffCache(
+                max_bytes=3000,
+                metrics=metrics,
+                fingerprint=lambda row: row.width.to_bytes(16, "little"),
+            )
+            a, b, c, d = distinct_rows(4)
+            cache.store(a, b, BATCHED, compute_row_diffs(BATCHED, [a], [b])[0])
+            assert cache.lookup(c, d, BATCHED) is None
+            assert cache.lookup(a, b, BATCHED) is not None
+            for width in (40, 48, 56):
+                x, y = distinct_rows(2, width)
+                cache.store(x, y, BATCHED, compute_row_diffs(BATCHED, [x], [y])[0])
+            return cache.info()
+
+        registry = MetricsRegistry()
+        got = info(registry)
+        assert got == info(None)
+        total = registry.snapshot().counter_total
+        series = {
+            key: total(f"repro_cache_{key}_total")
+            for key in ("hits", "misses", "evictions", "collisions")
+        }
+        assert {key: got[key] for key in series} == series
+        assert series == {"hits": 1, "misses": 1, "evictions": 2, "collisions": 1}
+
+    def test_store_info_reads_its_series(self, tmp_path):
+        def info(metrics, directory):
+            a, b, c, d = distinct_rows(4)
+            with RowStore(str(directory), metrics=metrics) as store:
+                # a one-entry RAM tier: each store demotes the last one
+                cache = DiffCache(max_bytes=2000, metrics=metrics, store=store)
+                for x, y in ((a, b), (c, d), (a, b)):
+                    cache.store(x, y, BATCHED, compute_row_diffs(BATCHED, [x], [y])[0])
+                # (c, d) comes back from disk and demotes (a, b) again
+                assert cache.lookup(c, d, BATCHED) is not None
+                assert corrupt_disk_entry(store, a, b, BATCHED, "bitflip")
+                assert cache.lookup(a, b, BATCHED) is None  # quarantined
+                return cache.info()
+
+        registry = MetricsRegistry()
+        got = info(registry, tmp_path / "shared")
+        assert got == info(None, tmp_path / "private")
+        total = registry.snapshot().counter_total
+        series = {
+            f"disk_{key}": total(f"repro_cache_disk_{key}_total")
+            for key in ("hits", "misses", "writes", "evictions", "quarantined", "collisions")
+        }
+        assert {key: got[key] for key in series} == series
+        assert series["disk_hits"] == 1 and series["disk_quarantined"] == 1

@@ -213,7 +213,7 @@ class TestByteIdentityUnderChaos:
         with ResilientDiffService(OPTS, compute=chaos, **FAST) as svc:
             first = svc.row_diff(ROW_A, ROW_B)
             hit = svc.row_diff(ROW_A, ROW_B)
-            assert svc.service.cache.hits == 1
+            assert svc.service.cache.info()["hits"] == 1
         assert_identical(first, hit)
         validate_result(OPTS, ROW_A, ROW_B, hit)
 
@@ -228,7 +228,7 @@ class TestRetries:
         opts = DiffOptions(engine="batched", metrics=registry)
         with ResilientDiffService(opts, compute=chaos, **FAST) as svc:
             svc.row_diff(ROW_A, ROW_B)
-            assert svc.retries == 2
+            assert svc.stats()["resilience_retries"] == 2
         family = registry.family("repro_resilience_retries_total")
         assert family.labels().value == 2.0
 
@@ -292,7 +292,7 @@ class TestDeadlines:
         with ResilientDiffService(OPTS, compute=slow, **FAST) as svc:
             with pytest.raises(DeadlineExceededError):
                 svc.row_diff(ROW_A, ROW_B, deadline=0.02)
-            assert svc.deadline_expirations == 1
+            assert svc.stats()["resilience_deadline_expirations"] == 1
 
     def test_deadline_expiry_during_retries_no_partial_result(self):
         """Retries stop the moment the budget is gone, and nothing is
@@ -335,7 +335,7 @@ class TestDeadlines:
     def test_no_deadline_means_no_expiry(self):
         with ResilientDiffService(OPTS, **FAST) as svc:
             svc.row_diff(ROW_A, ROW_B)
-            assert svc.deadline_expirations == 0
+            assert svc.stats()["resilience_deadline_expirations"] == 0
 
 
 # --------------------------------------------------------------------- #
@@ -478,7 +478,7 @@ class TestDegradedModes:
             cold_b = RLERow.from_pairs([(6, 5)], width=32)
             with pytest.raises(ServiceOverloadError):
                 svc.row_diff(cold_a, cold_b)
-            assert svc.degraded_serves == 1 and svc.shed == 1
+            assert svc.stats()["resilience_degraded_serves"] == 1 and svc.stats()["resilience_shed"] == 1
         family = registry.family("repro_resilience_degraded_total")
         assert family.labels(mode="cache_only").value == 1.0
         assert family.labels(mode="shed").value == 1.0

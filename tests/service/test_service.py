@@ -73,7 +73,7 @@ class TestCacheIdentityInvariant:
                         service.row_diff(a, b), reference.row_diff(a, b)
                     )
             assert service.cache is not None
-            assert service.cache.evictions > 0
+            assert service.cache.info()["evictions"] > 0
 
 
 class TestImageEquivalence:

@@ -1,6 +1,9 @@
 """The sharded tier end to end: routing identity, typed errors across
 the process boundary, metrics merging, and the TCP front-end."""
 
+import queue
+import threading
+import time
 from functools import reduce
 
 import pytest
@@ -16,6 +19,8 @@ from repro.service import (
     ResiliencePolicy,
     ShardedDiffService,
 )
+from repro.service.frontend import _WorkerHandle
+from repro.service.shard import encode_options
 from repro.workloads.motion import generate_sequence
 from tests.service.test_service import FAST, assert_identical
 
@@ -111,6 +116,107 @@ class TestShardedFailureSemantics:
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ServiceError):
             ShardedDiffService(BATCHED, workers=0)
+
+
+class _FakePipeEnd:
+    """The parent's end of a fake worker pipe.  Like CPython's
+    ``Connection``, a ``recv()`` that is under way when ``close()`` runs
+    reads from a ``None`` handle and raises ``TypeError``."""
+
+    EOF = object()
+
+    def __init__(self):
+        self.to_worker = queue.Queue()
+        self.to_parent = queue.Queue()
+        self.closed = False
+        self.reader = None
+        self.reader_alive_at_close = None
+
+    def send(self, message):
+        self.to_worker.put(message)
+
+    def recv(self):
+        self.reader = threading.current_thread()
+        item = self.to_parent.get()
+        if self.closed:
+            raise TypeError("'NoneType' object cannot be interpreted as an integer")
+        if item is self.EOF:
+            raise EOFError
+        return item
+
+    def close(self):
+        self.reader_alive_at_close = self.reader is not None and self.reader.is_alive()
+        self.closed = True
+
+
+class _FakeWorker:
+    """A fake shard worker process: it answers ``close`` and exits with
+    status 0, or dies with ``exitcode`` on any other request.  Its pipe
+    end goes away ``eof_delay`` seconds after the exit."""
+
+    def __init__(self, pipe, exitcode, eof_delay):
+        self.pipe = pipe
+        self.exitcode = None
+        self._exit = (exitcode, eof_delay)
+        self._exited = threading.Event()
+
+    def start(self):
+        threading.Thread(target=self._serve, daemon=True).start()
+
+    def _serve(self):
+        kind, seq, _ = self.pipe.to_worker.get()
+        exitcode, eof_delay = self._exit
+        if kind == "close":
+            self.pipe.to_parent.put(("ok", seq, None))
+            exitcode = 0
+        self.exitcode = exitcode
+        self._exited.set()
+        time.sleep(eof_delay)
+        self.pipe.to_parent.put(_FakePipeEnd.EOF)
+
+    def join(self, timeout=None):
+        self._exited.wait(timeout)
+
+    def is_alive(self):
+        return not self._exited.is_set()
+
+    def terminate(self):  # pragma: no cover - the fake always exits
+        pass
+
+
+class _FakeContext:
+    def __init__(self, exitcode=0, eof_delay=0.0):
+        self.pipe = _FakePipeEnd()
+        self._worker = (exitcode, eof_delay)
+
+    def Pipe(self):
+        return self.pipe, _FakePipeEnd()
+
+    def Process(self, **kwargs):
+        return _FakeWorker(self.pipe, *self._worker)
+
+
+class TestWorkerHandle:
+    def handle(self, ctx):
+        return _WorkerHandle(0, encode_options(BATCHED), None, 1 << 20, ctx)
+
+    def test_pipe_closed_only_after_the_receiver_ends(self, monkeypatch):
+        # The child's end goes away a moment after the close reply, so
+        # the receiver is back inside recv() while the worker exits.
+        errors = []
+        monkeypatch.setattr(threading, "excepthook", errors.append)
+        ctx = _FakeContext(eof_delay=0.2)
+        handle = self.handle(ctx)
+        handle.close(timeout=5.0)
+        handle._receiver.join(timeout=5.0)
+        assert ctx.pipe.reader_alive_at_close is False
+        assert errors == []
+
+    def test_pending_request_error_names_the_exit_status(self):
+        handle = self.handle(_FakeContext(exitcode=-9))
+        with pytest.raises(ServiceError, match=r"still pending \(exit code -9\)"):
+            handle.call("ping", timeout=5.0)
+        handle.close(timeout=5.0)
 
 
 class TestShardedMetrics:

@@ -241,8 +241,8 @@ class TestRowStore:
             assert store.put(key, inputs, result)
             got = store.get(key, inputs)
             assert_same_result(got, result)
-            assert store.hits == 1 and store.misses == 1
-            assert store.writes == 1
+            assert store.info()["disk_hits"] == 1 and store.info()["disk_misses"] == 1
+            assert store.info()["disk_writes"] == 1
             assert len(store) == 1 and store.total_bytes > 0
 
     def test_verbatim_input_mismatch_is_a_collision_miss(self, tmp_path):
@@ -251,7 +251,7 @@ class TestRowStore:
             store.put(key, inputs, result)
             other = verbatim(*make_pair(2))
             assert store.get(key, other) is None
-            assert store.collisions == 1 and store.quarantined == 0
+            assert store.info()["disk_collisions"] == 1 and store.info()["disk_quarantined"] == 0
 
     def test_budget_evicts_lru(self, tmp_path):
         key0, inputs0, result0 = entry_for(*make_pair(0))
@@ -261,7 +261,7 @@ class TestRowStore:
             for key, inputs, result in entries:
                 assert store.put(key, inputs, result)
                 assert store.total_bytes <= store.max_bytes
-            assert store.evictions >= 3
+            assert store.info()["disk_evictions"] >= 3
             # oldest gone, newest present
             assert store.get(entries[0][0], entries[0][1]) is None
             assert store.get(entries[-1][0], entries[-1][1]) is not None
@@ -324,7 +324,7 @@ class TestRowStore:
             assert store.warm_entries == len(entries)
             for key, inputs, result in entries:
                 assert_same_result(store.get(key, inputs), result)
-            assert store.misses == 0
+            assert store.info()["disk_misses"] == 0
 
     def test_restart_survives_torn_index_tail(self, tmp_path):
         entries = [entry_for(*make_pair(i)) for i in range(3)]
@@ -421,12 +421,12 @@ class TestRowStore:
             blob[len(blob) // 2] ^= 0x40
             path.write_bytes(bytes(blob))
             assert store.get(key, inputs) is None
-            assert store.quarantined == 1
+            assert store.info()["disk_quarantined"] == 1
             assert not path.exists()
             assert (tmp_path / "quarantine" / digest_hex).exists()
             # tombstoned: repeated probes are plain misses, no re-count
             assert store.get(key, inputs) is None
-            assert store.quarantined == 1
+            assert store.info()["disk_quarantined"] == 1
             # a fresh put clears the tombstone and serves again
             assert store.put(key, inputs, result)
             assert_same_result(store.get(key, inputs), result)
@@ -442,7 +442,7 @@ class TestRowStore:
         with RowStore(str(tmp_path)) as store:
             assert store.warm_entries == 0
             assert store.get(key, inputs) is None
-            assert store.quarantined == 0  # already sidelined last life
+            assert store.info()["disk_quarantined"] == 0  # already sidelined last life
 
     # -- metrics ------------------------------------------------------- #
     def test_metrics_mirror_counters(self, tmp_path):

@@ -56,11 +56,11 @@ class TestFlavours:
             got = store.get(key, inputs)
             assert got is None, f"{flavour}: corrupt entry was served"
             if flavour in QUARANTINING:
-                assert store.quarantined == 1
+                assert store.info()["disk_quarantined"] == 1
                 digest_hex = entry_digest(key).hex()
                 assert (tmp_path / "quarantine" / digest_hex).exists()
             else:
-                assert store.quarantined == 0
+                assert store.info()["disk_quarantined"] == 0
             # the slot heals: a fresh put serves again
             assert store.put(key, inputs, result)
             healed = store.get(key, inputs)
@@ -139,7 +139,7 @@ class TestFaultRateWorkload:
                     assert got is not None, f"healthy entry {i} missed"
                     assert_identical(got, want)
             want_quarantined = sum(1 for f in flavours if f in QUARANTINING)
-            assert store.quarantined == want_quarantined
+            assert store.info()["disk_quarantined"] == want_quarantined
             assert (
                 registry.snapshot().counter_total(
                     "repro_cache_disk_quarantined_total"
