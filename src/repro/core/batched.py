@@ -58,15 +58,18 @@ loops over rows and cells are gone, the state evolution is identical.
 The step kernel
 ---------------
 The iteration body — normalize, in-cell XOR, shift, the per-lane
-counters and the next window — also exists as one C function,
-``batched_step.c``, which :mod:`repro.core.native` compiles, caches and
-loads on the first step of a process.  :meth:`BatchedXorEngine.step`
-runs it whenever it loaded and the NumPy body (:meth:`_numpy_step`)
-otherwise; the NumPy body is also the reference the tests step the
-kernel against, state by state.  The bound check, tracer and probe
-hooks stay in Python, one call per iteration either way; a traced
-``row_batch`` span records which kernel ran (``kernel="native"`` or
-``"numpy"``).
+counters and the next window — also exists as C, ``batched_step.c``,
+which :mod:`repro.core.native` compiles, caches and loads on the first
+step of a process.  :meth:`BatchedXorEngine.step` runs it whenever it
+loaded and the NumPy body (:meth:`_numpy_step`) otherwise; the NumPy
+body is also the reference the tests step the kernel against, state by
+state.  The C iteration walks each lane's own window rather than the
+batch's: Corollary 1.1 holds lane by lane.  An untraced, unprobed
+:meth:`BatchedXorEngine.run` on the native kernel is one C call that
+makes the iteration cap and Theorem 1 checks itself and holds no GIL;
+otherwise the checks, tracer and probe hooks stay in Python, one call
+per iteration.  A traced ``row_batch`` span records which kernel ran
+(``kernel="native"`` or ``"numpy"``).
 """
 
 from __future__ import annotations
@@ -153,7 +156,9 @@ class BatchedXorEngine:
         self._lo = 0
         self._hi = 0
         self._step_count = 0
-        self._bound: Optional[native.BoundStep] = None
+        # the native kernel bound to this batch; None after a load and
+        # whenever the NumPy step's bookkeeping is the current one
+        self._binding: Optional[native.BoundStep] = None
 
     # ------------------------------------------------------------------ #
     # Load / extract                                                     #
@@ -216,7 +221,7 @@ class BatchedXorEngine:
         self._lo = 0
         self._hi = int(self.k2.max()) if n_rows and self.active.any() else 0
         self._step_count = 0
-        self._bound = None
+        self._binding = None
 
     @staticmethod
     def _scatter(
@@ -308,47 +313,84 @@ class BatchedXorEngine:
         :data:`repro.core.native.LOADER` has one, else in NumPy
         (:meth:`_numpy_step`, the reference); both reach the same state.
         """
-        if self.is_done:
-            return
-        active = self.active
-        over = active & (self.iterations >= self.k1 + self.k2)
+        if not self.is_done:
+            self._step(native.LOADER.kernel(), self.k1 + self.k2)
+
+    def _step(self, kernel: Optional[native.StepKernel], bound: np.ndarray) -> None:
+        """One iteration on a batch with active lanes, after the Theorem 1
+        check against ``bound`` (each lane's ``k1 + k2``)."""
+        over = self.active & (self.iterations >= bound)
         if over.any():
-            lane = int(np.flatnonzero(over)[0])
-            raise SystolicError(
-                f"lane {lane}: no termination after {int(self.iterations[lane])} "
-                f"iterations (bound {int(self.k1[lane] + self.k2[lane])})"
-            )
-        kernel = native.LOADER.kernel()
-        if kernel is None:
-            self._numpy_step()
-        else:
+            raise self._unbounded_error(int(np.flatnonzero(over)[0]), bound)
+        if kernel is not None:
             self._native_step(kernel)
+        else:
+            if self._binding is not None:
+                self._leave_native()
+            self._numpy_step()
         if self.probe is not None:
             self._sample_probe()
 
-    def _native_step(self, kernel: native.StepKernel) -> None:
-        """One iteration in the native kernel, bound to this batch's
-        arrays on its first native step (again if a NumPy step has
-        replaced the ``active`` mask since)."""
-        bound = self._bound
-        if bound is None or bound.active is not self.active:
-            stats = (
-                (self._stat_rows, self._frozen_busy, self._small_prefix)
-                if self.collect_stats
-                else None
-            )
-            bound = self._bound = kernel.bind(
+    def _bind(self, kernel: native.StepKernel) -> native.BoundStep:
+        """The native kernel bound to this batch: bound on its first
+        native step, and again after NumPy steps (the binding rebuilds its
+        per-lane state from the planes and the window)."""
+        binding = self._binding
+        if binding is None:
+            binding = self._binding = kernel.bind(
                 (self.ss, self.se, self.bs, self.be),
                 self.active,
                 self.iterations,
-                stats,
+                self._stat_rows if self.collect_stats else None,
+                (self._lo, self._hi),
+                self._step_count,
             )
-        step_count = self._step_count + 1
-        lane = bound(self._lo, self._hi, step_count)
+        return binding
+
+    def _native_step(self, kernel: native.StepKernel) -> None:
+        """One iteration in the native kernel."""
+        binding = self._bind(kernel)
+        lane = binding.step()
         if lane >= 0:
-            raise self._capacity_error(lane, bound.datum)
-        self._step_count = step_count
-        self._lo, self._hi = bound.window
+            raise self._capacity_error(lane, binding.datum)
+        self._lo, self._hi, self._step_count = binding.position
+
+    def _native_run(
+        self, kernel: native.StepKernel, bound: np.ndarray, max_iterations: Optional[int]
+    ) -> None:
+        """Every iteration in one native call, which makes the checks of
+        the per-step loop in its order and stops where it would raise."""
+        binding = self._bind(kernel)
+        stop = binding.run(bound, max_iterations)
+        self._lo, self._hi, self._step_count = binding.position
+        if stop is native.Stop.CAPPED:
+            raise self._capped_error(max_iterations)
+        if stop is native.Stop.UNBOUNDED:
+            raise self._unbounded_error(binding.lane, bound)
+        if stop is native.Stop.OVERFLOW:
+            raise self._capacity_error(binding.lane, binding.datum)
+
+    def _leave_native(self) -> None:
+        """Hand the batch from the native kernel to the NumPy step.  The
+        kernel banks no ``RegSmall`` occupancy left of the window, so
+        bank it now: no ``RegBig`` run reaches those columns again, and
+        their occupancy is what the NumPy step would have banked."""
+        if self.collect_stats:
+            lo = self._lo
+            self._frozen_busy = (self.se[:, :lo] >= self.ss[:, :lo]).sum(axis=1, dtype=np.int64)
+        self._binding = None
+
+    def _capped_error(self, max_iterations: Optional[int]) -> SystolicError:
+        return SystolicError(
+            f"{int(self.active.sum())} lanes still active after "
+            f"{self._step_count} iterations (cap {max_iterations})"
+        )
+
+    def _unbounded_error(self, lane: int, bound: np.ndarray) -> SystolicError:
+        return SystolicError(
+            f"lane {lane}: no termination after {int(self.iterations[lane])} "
+            f"iterations (bound {int(bound[lane])})"
+        )
 
     def _capacity_error(self, lane: int, datum: Tuple[int, int]) -> CapacityError:
         return CapacityError(
@@ -495,12 +537,9 @@ class BatchedXorEngine:
             empty_prefix_mean=mean_front,
         )
 
-    def _check_bound(self, max_iterations: Optional[int]) -> None:
+    def _check_cap(self, max_iterations: Optional[int]) -> None:
         if max_iterations is not None and self._step_count >= max_iterations:
-            raise SystolicError(
-                f"{int(self.active.sum())} lanes still active after "
-                f"{self._step_count} iterations (cap {max_iterations})"
-            )
+            raise self._capped_error(max_iterations)
 
     def run(self, max_iterations: Optional[int] = None) -> None:
         """Step until every lane terminates.
@@ -509,31 +548,36 @@ class BatchedXorEngine:
         ``k1 + k2`` bound raises :class:`~repro.errors.SystolicError`
         (``max_iterations`` optionally caps the whole batch instead).
 
-        With a tracer attached, the whole run is one ``row_batch`` span
-        and every iteration a nested ``step`` span; the untraced loop is
-        kept separate so tracing disabled costs a single attribute
-        lookup here.
+        On the native kernel with no tracer and no probe, the whole run
+        is one call into C.  With a tracer attached, the whole run is one
+        ``row_batch`` span and every iteration a nested ``step`` span.
+        Either way an error leaves the state the per-step loop leaves.
         """
+        kernel = native.LOADER.kernel()
+        bound = self.k1 + self.k2
         tracer = self.tracer
         if tracer is None:
+            if kernel is not None and self.probe is None:
+                self._native_run(kernel, bound, max_iterations)
+                return
             while not self.is_done:
-                self._check_bound(max_iterations)
-                self.step()
+                self._check_cap(max_iterations)
+                self._step(kernel, bound)
             return
         with tracer.span(
             "row_batch",
             rows=self.n_rows,
             cells=self.batch_cells,
-            kernel="numpy" if native.LOADER.kernel() is None else "native",
+            kernel="numpy" if kernel is None else "native",
         ) as batch_span:
             while not self.is_done:
-                self._check_bound(max_iterations)
+                self._check_cap(max_iterations)
                 with tracer.span(
                     "step",
                     index=self._step_count,
                     active_lanes=int(self.active.sum()),
                 ):
-                    self.step()
+                    self._step(kernel, bound)
             batch_span.set_attribute("iterations", self._step_count)
 
     # ------------------------------------------------------------------ #

@@ -1,9 +1,11 @@
 """The batched engine's native step kernel: build, cache and load.
 
 ``batched_step.c`` performs one iteration of
-:meth:`BatchedXorEngine.step <repro.core.batched.BatchedXorEngine.step>`
-as a plain C function with no Python API.  The first engine step of a
-process asks :data:`LOADER` for it.  The loader compiles the source with
+:meth:`BatchedXorEngine.step <repro.core.batched.BatchedXorEngine.step>`,
+or every iteration of an untraced, unprobed
+:meth:`BatchedXorEngine.run <repro.core.batched.BatchedXorEngine.run>`,
+as plain C functions with no Python API.  The first engine step of a
+process asks :data:`LOADER` for them.  The loader compiles the source with
 the system ``cc`` in a subprocess, writes the shared library into this
 package's ``__pycache__`` under a name keyed by the source hash and the
 platform (published by atomic rename, so racing processes each end up
@@ -20,6 +22,7 @@ against.
 from __future__ import annotations
 
 import ctypes
+import enum
 import hashlib
 import os
 import shutil
@@ -36,7 +39,7 @@ import numpy.typing as npt
 
 from repro.errors import SystolicError
 
-__all__ = ["LOADER", "SOURCE", "BoundStep", "KernelLoader", "StepKernel"]
+__all__ = ["LOADER", "SOURCE", "BoundStep", "KernelLoader", "StepKernel", "Stop"]
 
 #: The kernel source, shipped as package data next to this module.
 SOURCE: Final = Path(__file__).with_name("batched_step.c")
@@ -48,17 +51,28 @@ _CFLAGS: Final = ("-O2", "-std=c99", "-shared", "-fPIC")
 
 Array = npt.NDArray[Any]
 Planes = Tuple[Array, Array, Array, Array]
-#: ``(stat_rows, frozen_busy, small_prefix)`` of an engine collecting stats.
-StatArrays = Tuple[Array, Array, Array]
 
 _P = ctypes.c_void_p
 _I = ctypes.c_int64
-#: ss, se, bs, be, n_rows, n, active, iterations, stats, frozen_busy,
-#: small_prefix, lo, hi, step_count, out — see ``batched_step.c``.
-_ARGTYPES: Final = (_P, _P, _P, _P, _I, _I, _P, _P, _P, _P, _P, _I, _I, _I, _P)
+#: ss, se, bs, be, n_rows, n, active, iterations, stats, lanes: the
+#: arguments both functions start with — see ``batched_step.c``.
+_HEAD: Final = (_P, _P, _P, _P, _I, _I, _P, _P, _P, _P)
+#: Exported function names per plane itemsize (int32 and int64 planes).
+_SYMBOLS: Final = (
+    (4, "repro_batched_step_i32", "repro_batched_run_i32"),
+    (8, "repro_batched_step_i64", "repro_batched_run_i64"),
+)
+#: ``max_iterations`` for an uncapped run: no step count reaches it.
+_NO_CAP: Final = 2**63 - 1
 
-#: Exported step function per plane itemsize (int32 and int64 planes).
-_SYMBOLS: Final = ((4, "repro_batched_step_i32"), (8, "repro_batched_step_i64"))
+
+class Stop(enum.IntEnum):
+    """Why :meth:`BoundStep.run` returned (``batched_step.c``'s codes)."""
+
+    DONE = 0  #: every lane terminated
+    CAPPED = 1  #: lanes still active at ``max_iterations``
+    UNBOUNDED = 2  #: :attr:`BoundStep.lane` still active at its Theorem 1 bound
+    OVERFLOW = 3  #: :attr:`BoundStep.lane`'s :attr:`~BoundStep.datum` would leave the array
 
 
 def _address(array: Optional[Array]) -> Optional[int]:
@@ -75,19 +89,26 @@ def _require(array: Array, name: str, dtype: "np.dtype[Any]", shape: Tuple[int, 
 
 
 class BoundStep:
-    """The step function with one batch's arrays bound.
+    """The kernel's functions with one batch's arrays bound.
 
     The arrays are validated once, here, and referenced for as long as
-    the binding lives, so the pointers handed to C stay valid.
+    the binding lives, so the pointers handed to C stay valid.  The
+    binding also owns the kernel's per-lane state, which the NumPy step
+    does not keep.  It is rebuilt from the planes: every lane's window
+    starts as the batch's ``window`` (it holds every lane's ``RegBig``
+    runs) and is narrowed to the lane's own by its first iteration, so
+    the batch may have taken NumPy steps before.
     """
 
     def __init__(
         self,
-        step: Callable[..., int],
+        functions: Tuple[Callable[..., int], Callable[..., int]],
         planes: Planes,
         active: Array,
         iterations: Array,
-        stats: Optional[StatArrays],
+        stat_rows: Optional[Array],
+        window: Tuple[int, int],
+        step_count: int,
     ) -> None:
         n_rows, n = planes[0].shape
         int64 = np.dtype(np.int64)
@@ -95,73 +116,101 @@ class BoundStep:
             _require(plane, name, planes[0].dtype, (n_rows, n))
         _require(active, "active", np.dtype(np.bool_), (n_rows,))
         _require(iterations, "iterations", int64, (n_rows,))
-        if stats is not None:
-            shapes = ((5, n_rows), (n_rows,), (n_rows, n + 1))
-            for name, array, shape in zip(("stats", "frozen_busy", "small_prefix"), stats, shapes):
-                _require(array, name, int64, shape)
-        self.active = active
-        self._cells = n
-        self._out = np.zeros(4, dtype=np.int64)
-        self._arrays = (planes, active, iterations, stats, self._out)
-        self._step = step
+        if stat_rows is not None:
+            _require(stat_rows, "stats", int64, (5, n_rows))
+        lo, hi = window
+        if not 0 <= lo <= hi <= n:
+            raise SystolicError(f"window [{lo}, {hi}) outside {n} cells")
+        lanes = np.zeros((3, n_rows), dtype=np.int64)
+        lanes[0], lanes[1] = lo, hi
+        if stat_rows is not None:
+            ss, se = planes[0], planes[1]
+            np.sum(se >= ss, axis=1, out=lanes[2])
+        self._n_rows = n_rows
+        self._state = np.array([lo, hi, step_count, 0, 0, -1], dtype=np.int64)
+        self._arrays = (planes, active, iterations, stat_rows, lanes, self._state)
+        self._step, self._run = functions
         self._head = (
             *(_address(plane) for plane in planes),
             n_rows,
             n,
             _address(active),
             _address(iterations),
-            *(_address(array) for array in (stats or (None, None, None))),
+            _address(stat_rows),
+            _address(lanes),
         )
-        self._tail = _address(self._out)
+        self._tail = _address(self._state)
 
-    def __call__(self, lo: int, hi: int, step_count: int) -> int:
-        """Run one iteration over the window ``[lo, hi)``, recording
-        ``step_count`` on the active lanes.  Returns ``-1``, or the lane
-        whose datum would shift past the last cell (nothing written)."""
-        if not 0 <= lo <= hi <= self._cells:
-            raise SystolicError(f"window [{lo}, {hi}) outside {self._cells} cells")
-        return int(self._step(*self._head, lo, hi, step_count, self._tail))
+    def step(self) -> int:
+        """Run one iteration.  Returns ``-1``, or the lane whose datum
+        would shift past the last cell (nothing written)."""
+        return int(self._step(*self._head, self._tail))
+
+    def run(self, bound: Array, max_iterations: Optional[int]) -> Stop:
+        """Iterate until every lane terminates or a check fails, in one
+        call that holds no GIL: the checks of ``BatchedXorEngine.run``,
+        in its order, before each iteration.  ``bound`` is each lane's
+        Theorem 1 bound, ``k1 + k2``."""
+        _require(bound, "bound", np.dtype(np.int64), (self._n_rows,))
+        # clamped to int64: every cap below 0 stops before the first
+        # iteration, as 0 does
+        cap = _NO_CAP if max_iterations is None else min(max(max_iterations, -1), _NO_CAP)
+        return Stop(self._run(*self._head, _address(bound), cap, self._tail))
 
     @property
-    def window(self) -> Tuple[int, int]:
-        """The ``[lo, hi)`` window after the last successful step."""
-        lo, hi = self._out[:2].tolist()
-        return lo, hi
+    def position(self) -> Tuple[int, int, int]:
+        """The batch's ``(lo, hi)`` window and the iterations run, after
+        the last iteration."""
+        lo, hi, step_count = self._state[:3].tolist()
+        return lo, hi, step_count
+
+    @property
+    def lane(self) -> int:
+        """The lane of the last :attr:`Stop.UNBOUNDED` or capacity stop."""
+        return int(self._state[5])
 
     @property
     def datum(self) -> Tuple[int, int]:
-        """The datum of the last capacity error, as ``(start, end)``."""
-        start, end = self._out[2:].tolist()
+        """The datum of the last capacity stop, as ``(start, end)``."""
+        start, end = self._state[3:5].tolist()
         return start, end
 
 
 class StepKernel:
-    """A loaded kernel library: one step function per plane width."""
+    """A loaded kernel library: a step and a run function per plane width."""
 
     def __init__(self, path: Path) -> None:
         self.path = path
         self._library = ctypes.CDLL(str(path))
-        self._steps: Dict[int, Callable[..., int]] = {}
-        for itemsize, symbol in _SYMBOLS:
-            step = getattr(self._library, symbol)
-            step.argtypes = _ARGTYPES
+        self._functions: Dict[int, Tuple[Callable[..., int], Callable[..., int]]] = {}
+        for itemsize, step_symbol, run_symbol in _SYMBOLS:
+            step = getattr(self._library, step_symbol)
+            step.argtypes = (*_HEAD, _P)
             step.restype = ctypes.c_int64
-            self._steps[itemsize] = step
+            run = getattr(self._library, run_symbol)
+            run.argtypes = (*_HEAD, _P, _I, _P)
+            run.restype = ctypes.c_int64
+            self._functions[itemsize] = (step, run)
 
     def bind(
         self,
         planes: Planes,
         active: Array,
         iterations: Array,
-        stats: Optional[StatArrays],
+        stat_rows: Optional[Array],
+        window: Tuple[int, int],
+        step_count: int,
     ) -> BoundStep:
         """Bind one batch's state: the four ``(n_rows, n)`` planes, the
-        lane mask and iteration counts, and — when the engine collects
-        stats — the stat rows, frozen busy counts and RegSmall prefix."""
+        lane mask and iteration counts, the stat rows when the engine
+        collects stats, and the batch's ``[lo, hi)`` window and
+        iterations run so far."""
         dtype = planes[0].dtype
-        if dtype.kind != "i" or dtype.itemsize not in self._steps:
+        if dtype.kind != "i" or dtype.itemsize not in self._functions:
             raise SystolicError(f"no step kernel for {dtype} planes")
-        return BoundStep(self._steps[dtype.itemsize], planes, active, iterations, stats)
+        return BoundStep(
+            self._functions[dtype.itemsize], planes, active, iterations, stat_rows, window, step_count
+        )
 
 
 class KernelLoader:

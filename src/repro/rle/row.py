@@ -25,7 +25,7 @@ import numpy.typing as npt
 
 from repro._typing import BitArray, RunsLike
 from repro.errors import EncodingError, GeometryError
-from repro.rle.run import Run
+from repro.rle.run import Run, _trusted_runs
 from repro.rle.validate import validate_runs as _validate_structure
 
 __all__ = ["RLERow"]
@@ -197,7 +197,7 @@ class RLERow:
             return data
         starts = data[0].tolist()
         lengths = (data[1] - data[0] + 1).tolist()
-        runs = tuple(map(Run, starts, lengths))
+        runs = _trusted_runs(starts, lengths)
         self._data = runs
         return runs
 

@@ -13,8 +13,10 @@ tests simply reuse the paper's literal coordinates).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from itertools import repeat
+from typing import Callable, Iterator, Optional, Sequence, Tuple, Type
 
 from repro.errors import EncodingError
 
@@ -165,3 +167,21 @@ class Run:
 
     def __str__(self) -> str:
         return f"({self.start},{self.length})"
+
+
+_new: Callable[[Type[Run]], Run] = object.__new__
+# the slot descriptors' setters write past the frozen __setattr__
+_set_start = Run.__dict__["start"].__set__
+_set_length = Run.__dict__["length"].__set__
+
+
+def _trusted_runs(starts: Sequence[int], lengths: Sequence[int]) -> Tuple[Run, ...]:
+    """The :class:`Run` objects over ``(start, length)`` values already
+    known to be valid (``int``, ``start >= 0``, ``length >= 1``), built
+    with no checks: ``object.__new__`` and the two slot setters, each
+    mapped over the whole sequence, cost about 40 % of calling ``Run``
+    per run."""
+    runs = tuple(map(_new, repeat(Run, len(starts))))
+    deque(map(_set_start, runs, starts), maxlen=0)
+    deque(map(_set_length, runs, lengths), maxlen=0)
+    return runs

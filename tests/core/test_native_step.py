@@ -3,9 +3,10 @@
 ``BatchedXorEngine.step`` runs ``batched_step.c`` whenever the loader
 built it and the NumPy body otherwise.  The NumPy body is the reference:
 a native engine and a NumPy engine stepped side by side must hold the
-same state after every iteration.  The loader must compile once per
-cache, survive processes racing on an empty cache, and leave the NumPy
-step in force on any failure.
+same state after every iteration.  An untraced ``run`` on the native
+kernel is one call into C, which must stop where the per-step loops
+stop.  The loader must compile once per cache, survive processes racing
+on an empty cache, and leave the NumPy step in force on any failure.
 """
 
 import os
@@ -13,6 +14,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,7 @@ from repro.core import native
 from repro.core.batched import BatchedXorEngine
 from repro.core.machine import SystolicXorMachine
 from repro.errors import ReproError
+from repro.obs.tracing import Tracer
 from repro.rle.row import RLERow
 
 INT32_EDGE = 2**31 - 1
@@ -102,6 +105,21 @@ def batches(draw):
         draw(st.booleans()),
         draw(st.sampled_from((None, 0, 1, 3))),
     )
+
+
+@st.composite
+def skewed_batches(draw):
+    """A :func:`batches` case with one lane up to 2,000 px wide among the
+    narrow ones: most lanes' own windows are far narrower than the
+    batch's."""
+    rows_a, rows_b, n_cells, collect_stats, max_iterations = draw(batches())
+    width = draw(st.integers(100, 2000))
+    lane = draw(st.integers(0, len(rows_a)))
+    rows_a.insert(lane, draw(lane_row(width)))
+    rows_b.insert(lane, draw(lane_row(width)))
+    if n_cells is not None:
+        n_cells = max(n_cells, rows_a[lane].run_count, rows_b[lane].run_count)
+    return rows_a, rows_b, n_cells, collect_stats, max_iterations
 
 
 def outcome(call):
@@ -201,6 +219,178 @@ class TestSideBySide:
         assert native_outcome.startswith("SystolicError: 1 lanes still active")
         with native.LOADER.withheld():
             assert diff_outcome(*rows, None, True, 0) == native_outcome
+
+
+def loaded(rows_a, rows_b, n_cells=None, collect_stats=True, **engine_args):
+    engine = BatchedXorEngine(n_cells=n_cells, collect_stats=collect_stats, **engine_args)
+    engine.load(rows_a, rows_b)
+    return engine
+
+
+@pytest.fixture
+def native_calls(monkeypatch):
+    """Counts of calls into the bound kernel, per entry point."""
+    calls = {"step": 0, "run": 0}
+
+    def spy(name):
+        original = getattr(native.BoundStep, name)
+
+        def counted(self, *args):
+            calls[name] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(native.BoundStep, name, counted)
+
+    spy("step")
+    spy("run")
+    return calls
+
+
+def run_three_ways(engines, max_iterations=None):
+    """Run three engines loaded with one batch: in one native call, in the
+    traced per-step loop on the native kernel, and on the NumPy step.
+    All three must raise the same error.  The first two must leave the
+    same state, and the NumPy one too unless a capacity error stopped
+    the run (its step has already applied steps 1 and 2 when it raises,
+    where the native kernel writes nothing).  Returns the error."""
+    fast, stepped, reference = engines
+    stepped.tracer = Tracer()
+    error = outcome(lambda: fast.run(max_iterations=max_iterations))
+    assert outcome(lambda: stepped.run(max_iterations=max_iterations)) == error
+    with native.LOADER.withheld():
+        assert outcome(lambda: reference.run(max_iterations=max_iterations)) == error
+    assert_same_state(fast, stepped)
+    if error is None or not error.startswith("CapacityError"):
+        assert_same_state(fast, reference)
+    return error
+
+
+@pytest.mark.usefixtures("native_kernel")
+class TestOneCallRun:
+    """An untraced, unprobed ``run`` on the native kernel is one call into
+    C.  It must stop where the per-step loop stops, raising the same error
+    and leaving the same state."""
+
+    @given(st.one_of(batches(), batches(), batches(), batches(), skewed_batches()), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_same_end_state_and_error_as_the_per_step_loops(self, case, data):
+        rows_a, rows_b, n_cells, collect_stats, max_iterations = case
+        engines = [loaded(rows_a, rows_b, n_cells, collect_stats) for _ in range(3)]
+        occupied = np.flatnonzero(engines[0].k2).tolist()
+        if occupied and data.draw(st.integers(0, 4), label="forge") == 0:
+            # a Theorem 1 violation: a lane's bound lowered below the
+            # iterations it may need
+            lane = data.draw(st.sampled_from(occupied), label="lane")
+            drop = data.draw(st.integers(1, int(engines[0].k1[lane]) + 2), label="drop")
+            for engine in engines:
+                engine.k1[lane] -= drop
+        run_three_ways(engines, max_iterations)
+
+    @pytest.mark.parametrize("max_iterations", [0, 1, 3])
+    def test_iteration_cap(self, max_iterations):
+        rows_a = [RLERow.from_pairs([(0, 2), (9, 3)], width=20)] * 2
+        rows_b = [RLERow.from_pairs([(5, 2), (10, 1), (14, 4)], width=20), RLERow.empty(20)]
+        error = run_three_ways([loaded(rows_a, rows_b) for _ in range(3)], max_iterations)
+        assert error == (
+            f"SystolicError: 1 lanes still active after {max_iterations} iterations "
+            f"(cap {max_iterations})"
+        )
+
+    def test_capacity_edge(self):
+        rows_a = [RLERow.from_pairs([(0, 2)], width=8), RLERow.from_pairs([(0, 1)], width=8)]
+        rows_b = [RLERow.from_pairs([(0, 2)], width=8), RLERow.from_pairs([(2, 1)], width=8)]
+        engines = [loaded(rows_a, rows_b, n_cells=1) for _ in range(3)]
+        assert run_three_ways(engines) == (
+            "CapacityError: lane 1: datum (2, 2) shifted past the last cell "
+            "(batch of 1 cells is too small)"
+        )
+        assert engines[0]._step_count == 0
+
+    def test_theorem_1_violation(self):
+        rows_a = [RLERow.from_pairs([(0, 1), (4, 1)], width=8)] * 2
+        rows_b = [RLERow.from_pairs([(2, 1)], width=8)] * 2
+        engines = [loaded(rows_a, rows_b) for _ in range(3)]
+        for engine in engines:
+            engine.k1[1] = 0  # bound 1; the lane needs 2 iterations
+        assert run_three_ways(engines) == (
+            "SystolicError: lane 1: no termination after 1 iterations (bound 1)"
+        )
+
+    def test_untraced_run_is_one_native_call(self, native_calls):
+        rng = np.random.default_rng(5)
+        rows_a = [RLERow.from_bits(rng.random(300) < 0.4) for _ in range(6)]
+        rows_b = [RLERow.from_bits(rng.random(300) < 0.4) for _ in range(6)]
+        engine = loaded(rows_a, rows_b)
+        engine.run()
+        assert engine.is_done and engine._step_count > 1
+        assert native_calls == {"step": 0, "run": 1}
+
+    def test_traced_run_keeps_one_step_span_per_iteration(self, native_calls):
+        rng = np.random.default_rng(6)
+        rows_a = [RLERow.from_bits(rng.random(300) < 0.4) for _ in range(6)]
+        rows_b = [RLERow.from_bits(rng.random(300) < 0.4) for _ in range(6)]
+        tracer = Tracer()
+        engine = loaded(rows_a, rows_b, tracer=tracer)
+        engine.run()
+        steps = [span for span in tracer.spans if span.name == "step"]
+        assert len(steps) == engine._step_count > 1
+        assert [span.attributes["index"] for span in steps] == list(range(engine._step_count))
+        assert native_calls == {"step": engine._step_count, "run": 0}
+        (batch,) = [span for span in tracer.spans if span.name == "row_batch"]
+        assert batch.attributes["kernel"] == "native"
+
+    def test_threads_running_batches_at_once(self):
+        """The one call holds no GIL, so batches of different threads run
+        in C at the same time; each must still get its own results."""
+        rng = np.random.default_rng(7)
+        work = [
+            tuple([RLERow.from_bits(rng.random(400) < 0.4) for _ in range(8)] for _ in "ab")
+            for _ in range(4)
+        ]
+        expected = [diff_outcome(a, b, None, True, None) for a, b in work]
+        got = [[] for _ in work]
+
+        def serve(i):
+            for _ in range(25):
+                got[i].append(diff_outcome(*work[i], None, True, None))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=serve, args=(i,)) for i in range(len(work))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [[want] * 25 for want in expected]
+
+    @given(batches(), st.lists(st.booleans(), min_size=1))
+    @settings(max_examples=60)
+    def test_switching_kernels_mid_batch(self, case, schedule):
+        """A batch that alternates kernels step by step (the native
+        binding rebuilds its per-lane state from the planes, the NumPy
+        step its banked busy counts) matches one that never leaves
+        the NumPy step."""
+        rows_a, rows_b, n_cells, collect_stats, _ = case
+        mixed = loaded(rows_a, rows_b, n_cells, collect_stats)
+        reference = loaded(rows_a, rows_b, n_cells, collect_stats)
+        step = 0
+        while not reference.is_done:
+            if schedule[step % len(schedule)]:
+                error = outcome(mixed.step)
+            else:
+                with native.LOADER.withheld():
+                    error = outcome(mixed.step)
+            with native.LOADER.withheld():
+                assert outcome(reference.step) == error
+            if error is not None:
+                return
+            assert_same_state(mixed, reference)
+            step += 1
+        assert mixed.is_done
 
 
 # --------------------------------------------------------------------- #

@@ -1,10 +1,13 @@
 """Unit tests for the Run value type and its interval algebra."""
 
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import EncodingError
-from repro.rle.run import Run
+from repro.rle.run import Run, _trusted_runs
 
 
 class TestConstruction:
@@ -165,3 +168,37 @@ class TestProperties:
 
     def test_str_uses_paper_notation(self):
         assert str(Run(10, 3)) == "(10,3)"
+
+
+class TestTrustedRuns:
+    """``_trusted_runs`` skips ``Run.__init__``: what it builds must be
+    indistinguishable from runs built by ``Run(start, length)``."""
+
+    def test_run_has_exactly_the_fields_the_builder_sets(self):
+        # a new field would be left unset by the trusted builder
+        assert [field.name for field in dataclasses.fields(Run)] == ["start", "length"]
+        assert Run.__slots__ == ("start", "length")
+
+    @given(st.lists(st.tuples(st.integers(0, 2**40), st.integers(1, 2**20)), max_size=20))
+    def test_equal_to_checked_runs(self, pairs):
+        starts = [start for start, _ in pairs]
+        lengths = [length for _, length in pairs]
+        trusted = _trusted_runs(starts, lengths)
+        checked = tuple(Run(start, length) for start, length in pairs)
+        assert type(trusted) is tuple
+        assert trusted == checked
+        assert [hash(run) for run in trusted] == [hash(run) for run in checked]
+        assert [repr(run) for run in trusted] == [repr(run) for run in checked]
+        assert pickle.loads(pickle.dumps(trusted)) == checked
+        for a, b in zip(trusted, checked):
+            assert type(a) is Run
+            assert not a < b and not b < a and a <= b and a >= b
+        assert sorted(trusted + checked) == sorted(checked + checked)
+
+    def test_still_frozen(self):
+        (run,) = _trusted_runs([4], [2])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            run.start = 3  # type: ignore[misc]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            run.length = 3  # type: ignore[misc]
+        assert run == Run(4, 2)
